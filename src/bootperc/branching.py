@@ -186,6 +186,15 @@ def asymptotic_survival(r: int, eps: float) -> float:
     return math.exp(-((r - 1) ** 2 / r) * k_r_of_eps(r, eps))
 
 
+def _bernoulli_mc(trials: int, hit) -> tuple[float, float]:
+    """Share p_hat of trial indices t in range(trials) with hit(t), and its
+    binomial standard error."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    p_hat = sum(1 for t in range(trials) if hit(t)) / trials
+    return p_hat, math.sqrt(p_hat * (1 - p_hat) / trials)
+
+
 def survival_probability_mc(
     r: int,
     eps: float,
@@ -194,20 +203,19 @@ def survival_probability_mc(
     policy: WalkPolicy | None = None,
 ) -> SurvivalEstimate:
     _validate_r_eps(r, eps)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     policy = policy or WalkPolicy()
-    hits = 0
-    for t in range(trials):
-        if simulate_walk(r, eps, rng_seed, policy=policy, trial_index=t).survived:
-            hits += 1
-    p_hat = hits / trials
+    p_hat, stderr = _bernoulli_mc(
+        trials,
+        lambda t: simulate_walk(
+            r, eps, rng_seed, policy=policy, trial_index=t
+        ).survived,
+    )
     return SurvivalEstimate(
         r=r,
         eps=eps,
         trials=trials,
         p_hat=p_hat,
-        stderr=math.sqrt(p_hat * (1 - p_hat) / trials),
+        stderr=stderr,
         asymptotic=asymptotic_survival(r, eps) if eps > 0 else 0.0,
     )
 
@@ -279,15 +287,12 @@ def hitting_frequency_mc(
     k_cap: int = DEFAULT_K_CAP,
 ) -> HitEstimate:
     """MC frequency of {exists t: S_t = k, Y_t = i}."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        path = simulate_generations(r, eps, rng_seed, k_cap=k_cap, trial_index=t)
-        if (k, i) in path:
-            hits += 1
-    p_hat = hits / trials
-    return HitEstimate(trials, p_hat, math.sqrt(p_hat * (1 - p_hat) / trials))
+    return HitEstimate(trials, *_bernoulli_mc(
+        trials,
+        lambda t: (k, i) in simulate_generations(
+            r, eps, rng_seed, k_cap=k_cap, trial_index=t
+        ),
+    ))
 
 
 def reach_frequency_mc(
@@ -299,17 +304,14 @@ def reach_frequency_mc(
     k_cap: int = DEFAULT_K_CAP,
 ) -> HitEstimate:
     """MC frequency of {exists t: S_t >= k} from the set-based process."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if k > k_cap:
         raise ValueError("k beyond the population cap is unobservable")
-    hits = 0
-    for t in range(trials):
-        path = simulate_generations(r, eps, rng_seed, k_cap=k_cap, trial_index=t)
-        if path[-1][0] >= k:
-            hits += 1
-    p_hat = hits / trials
-    return HitEstimate(trials, p_hat, math.sqrt(p_hat * (1 - p_hat) / trials))
+    return HitEstimate(trials, *_bernoulli_mc(
+        trials,
+        lambda t: simulate_generations(
+            r, eps, rng_seed, k_cap=k_cap, trial_index=t
+        )[-1][0] >= k,
+    ))
 
 
 def walk_progeny_frequency_mc(
@@ -321,13 +323,10 @@ def walk_progeny_frequency_mc(
     policy: WalkPolicy | None = None,
 ) -> HitEstimate:
     """MC frequency of the walk's total progeny reaching the given count."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     policy = policy or WalkPolicy()
-    hits = 0
-    for t in range(trials):
-        out = simulate_walk(r, eps, rng_seed, policy=policy, trial_index=t)
-        if out.total_progeny >= progeny:
-            hits += 1
-    p_hat = hits / trials
-    return HitEstimate(trials, p_hat, math.sqrt(p_hat * (1 - p_hat) / trials))
+    return HitEstimate(trials, *_bernoulli_mc(
+        trials,
+        lambda t: simulate_walk(
+            r, eps, rng_seed, policy=policy, trial_index=t
+        ).total_progeny >= progeny,
+    ))

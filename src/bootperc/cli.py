@@ -11,7 +11,7 @@ verification run finds violations.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from . import branching, counting, spectral, thresholds
@@ -29,14 +29,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_json(payload, out_path) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(X._json_text(payload), out_path)
 
 
 def _emit_csv(header, rows, out_path) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(X._fmt(x) for x in row))
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit(X._csv_text(header, rows), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +129,7 @@ def _cmd_bp_survive(args) -> int:
         for eps in args.eps
     ]
     if len(estimates) == 1:
-        est = estimates[0]
-        _emit_json(
-            {
-                "r": est.r,
-                "eps": est.eps,
-                "trials": est.trials,
-                "p_hat": est.p_hat,
-                "stderr": est.stderr,
-                "asymptotic": est.asymptotic,
-            },
-            args.out,
-        )
+        _emit_json(dataclasses.asdict(estimates[0]), args.out)
     else:
         _emit_csv(
             ("eps", "p_hat", "stderr", "asymptotic"),
@@ -240,30 +226,22 @@ def _cmd_gnp_pki(args) -> int:
     return 0
 
 
+def _emit_points(points, header, args) -> None:
+    """Sweep points as JSON records of their fields, or as CSV columns in
+    header order."""
+    if args.format == "json":
+        _emit_json([dataclasses.asdict(pt) for pt in points], args.out)
+    else:
+        rows = [[getattr(pt, name) for name in header] for pt in points]
+        _emit_csv(header, rows, args.out)
+
+
 def _cmd_gnp_seed_edge_sweep(args) -> int:
     points = X.seed_edge_sweep(
         args.n, args.alphas, trials=args.trials, rng_seed=args.seed,
         workers=args.workers,
     )
-    rows = [
-        (pt.alpha, pt.frequency, pt.stderr, pt.p, pt.trials) for pt in points
-    ]
-    if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "alpha": pt.alpha,
-                    "frequency": pt.frequency,
-                    "stderr": pt.stderr,
-                    "p": pt.p,
-                    "trials": pt.trials,
-                }
-                for pt in points
-            ],
-            args.out,
-        )
-    else:
-        _emit_csv(("alpha", "frequency", "stderr", "p", "trials"), rows, args.out)
+    _emit_points(points, ("alpha", "frequency", "stderr", "p", "trials"), args)
     return 0
 
 
@@ -287,26 +265,7 @@ def _cmd_gnp_susceptibility_sweep(args) -> int:
         "p",
         "trials",
     )
-    rows = [
-        (
-            pt.alpha,
-            pt.susceptible_freq,
-            pt.susceptible_stderr,
-            pt.spread_norm_mean,
-            pt.spread_norm_p95,
-            pt.beta_bound,
-            pt.frac_within_beta,
-            pt.p,
-            pt.trials,
-        )
-        for pt in points
-    ]
-    if args.format == "json":
-        _emit_json(
-            [dict(zip(header, row)) for row in rows], args.out
-        )
-    else:
-        _emit_csv(header, rows, args.out)
+    _emit_points(points, header, args)
     return 0
 
 

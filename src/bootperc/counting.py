@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import combinations
 from math import comb, exp, factorial, fsum, lgamma, log
 
@@ -510,13 +511,24 @@ def induction_step_report(i: int) -> dict:
 # serialization
 # ----------------------------------------------------------------------
 
+# Counts go through Decimal, whose conversions to and from decimal text are
+# exact at any length: int <-> str refuses integers past
+# sys.get_int_max_str_digits() digits (4300 by default).
+
+
 def table_to_csv(table: CountTable, fp) -> None:
     """CSV with header r,k,i,variant,count (counts in full decimal)."""
     writer = csv.writer(fp)
     writer.writerow(["r", "k", "i", "variant", "count"])
     label = table.variant_label()
     for (k, i) in sorted(table.entries):
-        writer.writerow([table.r, k, i, label, table.entries[(k, i)]])
+        writer.writerow([table.r, k, i, label, str(Decimal(table.entries[(k, i)]))])
+
+
+def _parse_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"count is not a nonnegative integer: {text!r}")
+    return int(Decimal(text))
 
 
 def table_from_csv(fp) -> CountTable:
@@ -530,7 +542,7 @@ def table_from_csv(fp) -> CountTable:
     for row in reader:
         r = int(row[0])
         k = int(row[1])
-        entries[(k, int(row[2]))] = int(row[4])
+        entries[(k, int(row[2]))] = _parse_count(row[4])
         label = row[3]
         k_max = k if k_max is None else max(k_max, k)
     if r is None or label is None:

@@ -12,6 +12,11 @@ The percolation kernel stores neighborhoods and infected sets as packed bit
 sets (Python integers) and counts infected neighbors with popcount; the
 Monte Carlo harness in the experiments module has its own array kernel for
 graphs too large to pack.
+
+A 2-set can only grow if its two vertices share a neighbor, so every r = 2
+seed search draws its candidates from wedge_pairs, the one enumerator of
+such pairs: centre by centre, in numpy chunks of bounded size.  Consumers
+deduplicate pairs with several common neighbors themselves.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "SeedSearchCapExceeded",
     "bootstrap",
     "is_susceptible",
+    "wedge_pairs",
     "has_seed",
     "has_contagious_subset",
     "graph_bootstrap_closure",
@@ -40,6 +46,8 @@ __all__ = [
 
 DEFAULT_SUSCEPTIBILITY_CAP = 5_000_000  # seed sets examined exhaustively
 DEFAULT_WITNESS_BUDGET = 1_000_000  # parent-set trials in hat_bootstrap
+WEDGE_FIRST_CHUNK = 1 << 10  # target pairs in wedge_pairs' first chunk
+WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of wedge_pairs
 
 
 class EngineError(Exception):
@@ -274,8 +282,11 @@ def is_susceptible(
                 f"C({n}, {r}) exceeds exhaustive cap of {cap}"
             )
         masks = graph.masks
-        if r == 2:
-            candidates = _wedge_pairs(graph)
+        if r == 2:  # np.unique over all chunks, one chunk at a time
+            keys = np.empty(0, dtype=np.int64)
+            for a, b in wedge_pairs(graph):
+                keys = np.union1d(keys, a * n + b)
+            candidates = zip((keys // n).tolist(), (keys % n).tolist())
         else:
             candidates = (
                 s for s in combinations(range(n), r)
@@ -298,15 +309,48 @@ def is_susceptible(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _wedge_pairs(graph: Graph):
-    """Pairs with at least one common neighbor, in sorted order."""
-    pairs = set()
-    for w in range(graph.n):
-        row = graph.neighbors(w).tolist()
-        for a_idx in range(len(row)):
-            for b_idx in range(a_idx + 1, len(row)):
-                pairs.add((row[a_idx], row[b_idx]))
-    return sorted(pairs)
+def wedge_pairs(graph: Graph):
+    """Pairs (a, b), a < b, with a common neighbor, as chunks of arrays (a, b).
+
+    Centre-major: for each centre in turn, every pair of its sorted
+    neighbors in row-major order, so a pair comes once per common neighbor.
+    Chunks start at about WEDGE_FIRST_CHUNK pairs, so a search that stops
+    early builds little, and double up to WEDGE_CHUNK_CAP; none is longer
+    than the cap, which bounds memory on graphs with ~1e8 wedges.
+    """
+    chunk_cap = WEDGE_CHUNK_CAP
+    indptr, indices = graph.indptr, graph.indices
+    triu: dict = {}
+    buf_a: list = []
+    buf_b: list = []
+    held = 0
+    size = min(WEDGE_FIRST_CHUNK, chunk_cap)
+    for c in range(graph.n):
+        nbrs = indices[indptr[c] : indptr[c + 1]]
+        d = nbrs.shape[0]
+        if d < 2:
+            continue
+        if d * (d - 1) // 2 <= chunk_cap:
+            if d not in triu:
+                triu[d] = np.triu_indices(d, 1)
+            ii, jj = triu[d]
+            pieces = [(nbrs[ii], nbrs[jj])]
+        else:  # one row of the centre's pairs at a time, cut to the cap
+            pieces = (
+                (np.full(min(chunk_cap, d - s), nbrs[i]), nbrs[s : s + chunk_cap])
+                for i in range(d - 1)
+                for s in range(i + 1, d, chunk_cap)
+            )
+        for a, b in pieces:
+            if held and held + a.shape[0] > size:
+                yield np.concatenate(buf_a), np.concatenate(buf_b)
+                buf_a, buf_b, held = [], [], 0
+                size = min(2 * size, chunk_cap)
+            buf_a.append(a)
+            buf_b.append(b)
+            held += a.shape[0]
+    if held:
+        yield np.concatenate(buf_a), np.concatenate(buf_b)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,13 @@ Percolations run on a peeling kernel whose work is proportional to the
 edges touched by the spread (counts and stamps are per-trial, so a graph
 is reused across many seeds without O(n) clearing).
 
+Two trial functions carry every estimate: _seeded_trial samples one graph,
+draws its seeds and returns each seed's level profile, for the (k, i)
+visit and terminal frequencies; _marked_trial samples one marked graph and
+runs a probe at each alpha of a sweep, for the seed-edge and
+susceptibility sweeps.  r = 2 seed searches take their candidates from
+engine.wedge_pairs.
+
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
 """
@@ -17,14 +24,15 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .branching import hitting_probability_exact, trial_rng
-from .counting import build_count_table
-from .engine import Graph
+from .counting import TableBudgetExceeded, build_count_table
+from .engine import Graph, wedge_pairs
 from .thresholds import beta_star, theta
 
 __all__ = [
@@ -96,10 +104,7 @@ def sample_gnp(n: int, p: float, rng_seed: int, trial_index: int = 0) -> Graph:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
-    rng = trial_rng(rng_seed, trial_index)
-    idx = _sample_pair_indices(n, p, rng)
-    u, v = _pairs_from_linear(n, idx)
-    return Graph.from_arrays(n, u, v)
+    return Graph.from_arrays(n, *_sample_edges(n, p, trial_rng(rng_seed, trial_index)))
 
 
 def sample_gnp_marked(
@@ -112,10 +117,13 @@ def sample_gnp_marked(
     """
     if not 0.0 < p_max <= 1.0:
         raise ValueError(f"p_max must lie in (0,1], got {p_max}")
-    idx = _sample_pair_indices(n, p_max, rng)
-    u, v = _pairs_from_linear(n, idx)
-    marks = rng.uniform(0.0, p_max, size=idx.shape[0])
+    u, v = _sample_edges(n, p_max, rng)
+    marks = rng.uniform(0.0, p_max, size=u.shape[0])
     return u, v, marks
+
+
+def _sample_edges(n, p, rng):
+    return _pairs_from_linear(n, _sample_pair_indices(n, p, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +210,6 @@ class ExperimentConfig:
     seed_policy: str = "random"
     seeds_per_graph: int = 1
     k_max: int = 12
-    out_path: Optional[str] = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.n < self.r:
@@ -226,8 +232,6 @@ class ExperimentConfig:
             raise ValueError("seeds_per_graph must be >= 1")
         if self.k_max <= self.r:
             raise ValueError("k_max must exceed r")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
 
     @property
     def eps(self) -> float:
@@ -241,44 +245,62 @@ def first_step_law(n: int, p: float, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# (k,i) visit frequencies
+# seeded trials: (k, i) visit and terminal frequencies
 
 
 def _random_seed_tuple(rng: np.random.Generator, n: int, r: int) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.choice(n, size=r, replace=False))
 
 
-def _pki_trial(args) -> list:
-    n, r, p, k_max, rng_seed, trial_index, policy, seeds_per_graph = args
+def _seeded_trial(args) -> list:
+    """Level profiles of one G(n,p) sample, one per seed, cut by k_stop."""
+    n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
     graph = Graph.from_arrays(n, *_sample_edges(n, p, rng))
     kernel = PeelingKernel(graph)
-    hits = []
-    from itertools import combinations
-
     seeds = (
         combinations(range(n), r)
         if policy == "all"
         else (_random_seed_tuple(rng, n, r) for _ in range(seeds_per_graph))
     )
-    for seed in seeds:
-        levels, _ = kernel.run(seed, r, k_stop=k_max)
-        visits = [(k, i) for k, i in levels if r < k <= k_max]
-        hits.append(visits)
-    return hits
+    return [kernel.run(seed, r, k_stop=k_stop)[0] for seed in seeds]
 
 
-def _sample_edges(n, p, rng):
-    idx = _sample_pair_indices(n, p, rng)
-    return _pairs_from_linear(n, idx)
+def _seeded_trials(config: ExperimentConfig, k_stop, workers: int):
+    """Every seed's level profile, trial by trial, in trial order."""
+    shared = (
+        config.n,
+        config.r,
+        config.p,
+        k_stop,
+        config.seed_policy,
+        config.seeds_per_graph,
+        config.rng_seed,
+    )
+    argses = [(*shared, t) for t in range(config.trials)]
+    for profiles in _map_trials(_seeded_trial, argses, workers):
+        yield from profiles
+
+
+def _frequencies(observations) -> tuple[dict, int]:
+    """Per key, the share of observations (iterables of keys) holding it,
+    in key order; and the number of observations."""
+    tally: dict = {}
+    total = 0
+    for keys in observations:
+        total += 1
+        for key in keys:
+            tally[key] = tally.get(key, 0) + 1
+    return {key: c / total for key, c in sorted(tally.items())}, total
 
 
 def _map_trials(fn, argses, workers: int):
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunk = max(1, len(argses) // (workers * 8))
-            return list(ex.map(fn, argses, chunksize=chunk))
-    return [fn(a) for a in argses]
+            yield from ex.map(fn, argses, chunksize=chunk)
+    else:
+        yield from map(fn, argses)
 
 
 @dataclass
@@ -331,42 +353,25 @@ def estimate_Pki(config: ExperimentConfig, workers: int = 0) -> PkiEstimate:
     l_r(k, i) = e^{-eps C(k-i, r)} eps^{k-r} / (k-r)! m_r(k, i) with
     eps = n p^r rides along when the count table is available.
     """
-    argses = [
-        (
-            config.n,
-            config.r,
-            config.p,
-            config.k_max,
-            config.rng_seed,
-            t,
-            config.seed_policy,
-            config.seeds_per_graph,
-        )
-        for t in range(config.trials)
-    ]
-    results = _map_trials(_pki_trial, argses, workers)
-    tally: dict = {}
-    total = 0
-    for per_graph in results:
-        for visits in per_graph:
-            total += 1
-            for key in visits:
-                tally[key] = tally.get(key, 0) + 1
-    freq = {key: c / total for key, c in sorted(tally.items())}
+    r, k_max = config.r, config.k_max
+    freq, total = _frequencies(
+        [(k, i) for k, i in levels if r < k <= k_max]
+        for levels in _seeded_trials(config, k_max, workers)
+    )
     stderr = {
         key: math.sqrt(f * (1 - f) / total) for key, f in freq.items()
     }
-    comparator = None
     try:
-        table = build_count_table(config.r, config.k_max)
-        eps = config.eps
-        comparator = {
-            (k, i): hitting_probability_exact(config.r, eps, k, i, table=table)
-            for k in range(config.r + 1, config.k_max + 1)
-            for i in range(1, k - config.r + 1)
-        }
-    except Exception as exc:  # pragma: no cover - depends on table budget
+        table = build_count_table(r, k_max)
+    except TableBudgetExceeded as exc:
         warnings.warn(f"comparator omitted: {exc}")
+        comparator = None
+    else:
+        comparator = {
+            (k, i): hitting_probability_exact(r, config.eps, k, i, table=table)
+            for k in range(r + 1, k_max + 1)
+            for i in range(1, k - r + 1)
+        }
     return PkiEstimate(
         n=config.n,
         r=config.r,
@@ -377,30 +382,6 @@ def estimate_Pki(config: ExperimentConfig, workers: int = 0) -> PkiEstimate:
         stderr=stderr,
         comparator=comparator,
     )
-
-
-# ---------------------------------------------------------------------------
-# terminal (k, i) frequencies
-
-
-def _terminal_trial(args) -> list:
-    n, r, p, rng_seed, trial_index, policy, seeds_per_graph = args
-    rng = trial_rng(rng_seed, trial_index)
-    graph = Graph.from_arrays(n, *_sample_edges(n, p, rng))
-    kernel = PeelingKernel(graph)
-    from itertools import combinations
-
-    seeds = (
-        combinations(range(n), r)
-        if policy == "all"
-        else (_random_seed_tuple(rng, n, r) for _ in range(seeds_per_graph))
-    )
-    outcomes = []
-    for seed in seeds:
-        levels, truncated = kernel.run(seed, r, k_stop=None)
-        assert not truncated
-        outcomes.append(levels[-1])
-    return outcomes
 
 
 @dataclass
@@ -419,37 +400,53 @@ def terminal_set_frequency(
     config: ExperimentConfig, workers: int = 0
 ) -> TerminalEstimate:
     """Frequency that a seed's percolation terminates at (|V_tau|, |I_tau|)."""
-    argses = [
-        (
-            config.n,
-            config.r,
-            config.p,
-            config.rng_seed,
-            t,
-            config.seed_policy,
-            config.seeds_per_graph,
-        )
-        for t in range(config.trials)
-    ]
-    results = _map_trials(_terminal_trial, argses, workers)
-    tally: dict = {}
-    total = 0
-    for outcomes in results:
-        for key in outcomes:
-            total += 1
-            tally[key] = tally.get(key, 0) + 1
-    freq = {key: c / total for key, c in sorted(tally.items())}
+    freq, total = _frequencies(
+        (levels[-1],) for levels in _seeded_trials(config, None, workers)
+    )
     return TerminalEstimate(
         n=config.n, r=config.r, p=config.p, seed_trials=total, freq=freq
     )
 
 
 # ---------------------------------------------------------------------------
-# seed-edge sweep (r = 2)
+# marked sweeps (r = 2)
 
 
-def _csr_from_mask(n, u, v, mask):
-    return Graph.from_arrays(n, u[mask], v[mask])
+def _marked_trial(args) -> list:
+    """Probe outcomes of one marked G(n, p_max) sample at each p in ps.
+
+    A probe maps a graph to a tuple whose first item says whether it
+    succeeded.  Success is monotone under the mark coupling: the graph at a
+    larger p keeps every edge of the smaller one, so the probe succeeds
+    there with the same outcome, and those graphs are not built.
+    """
+    probe, n, ps, rng_seed, trial_index = args
+    u, v, marks = sample_gnp_marked(n, ps[-1], trial_rng(rng_seed, trial_index))
+    outcomes = []
+    for p in ps:
+        if outcomes and outcomes[-1][0]:
+            outcomes.append(outcomes[-1])
+        else:
+            keep = marks < p
+            outcomes.append(probe(Graph.from_arrays(n, u[keep], v[keep])))
+    return outcomes
+
+
+def _marked_sweep(probe, n: int, alpha_list, trials: int, rng_seed: int, workers: int):
+    """Sorted alphas, their p = theta_2(alpha, n), and per alpha the probe
+    outcomes of every trial.  probe must be a module-level function, so
+    that worker processes can unpickle it."""
+    alphas = sorted(float(a) for a in alpha_list)
+    if not alphas:
+        raise ValueError("alpha_list must be nonempty")
+    ps = [theta(2, a, n) for a in alphas]
+    argses = [(probe, n, ps, rng_seed, t) for t in range(trials)]
+    results = list(_map_trials(_marked_trial, argses, workers))
+    return alphas, ps, [[out[j] for out in results] for j in range(len(ps))]
+
+
+# ---------------------------------------------------------------------------
+# seed-edge sweep
 
 
 def _has_seed_edge(graph: Graph, kernel: PeelingKernel, top_k: int = 64) -> bool:
@@ -457,8 +454,8 @@ def _has_seed_edge(graph: Graph, kernel: PeelingKernel, top_k: int = 64) -> bool
 
     A seed edge needs a common neighbor for its first round, so candidates
     are exactly the edges lying in triangles.  High degree-sum edges are
-    probed first; the exhaustive fallback orders triangle edges by their
-    common-neighbor count.
+    probed first; the exhaustive fallback then probes every other triangle
+    edge, in engine.wedge_pairs order.
     """
     n = graph.n
     if n < 3 or graph.m == 0:
@@ -494,65 +491,25 @@ def _has_seed_edge(graph: Graph, kernel: PeelingKernel, top_k: int = 64) -> bool
         if common_count(a, b) > 0 and percolates(a, b):
             return True
 
-    # exhaustive fallback: triangle edges are the neighbor pairs (about a
-    # common vertex) that are themselves edges; enumerate wedges in bounded
-    # chunks and filter against the sorted linear edge keys
+    # exhaustive fallback: triangle edges are the wedge pairs that are
+    # themselves edges; filter each chunk against the sorted linear edge keys
     ekeys = eu * n + ev
     probed = set((int(eu[e]), int(ev[e])) for e in cand)
-    triu_cache: dict = {}
-    chunk_cap = 1 << 21
-    buf_u: list = []
-    buf_v: list = []
-    buffered = 0
-
-    def scan(pairs_u, pairs_v) -> bool:
-        keys = pairs_u * n + pairs_v
+    for pa, pb in wedge_pairs(graph):
+        keys = pa * n + pb
         pos = np.searchsorted(ekeys, keys)
         ok = pos < ekeys.shape[0]
         ok[ok] = ekeys[pos[ok]] == keys[ok]
-        for a, b in zip(pairs_u[ok].tolist(), pairs_v[ok].tolist()):
-            pair = (a, b)
-            if pair in probed:
-                continue
-            probed.add(pair)
-            if percolates(a, b):
-                return True
-        return False
-
-    for c in range(n):
-        nbrs = indices[indptr[c] : indptr[c + 1]]
-        d = nbrs.shape[0]
-        if d < 2:
-            continue
-        if d not in triu_cache:
-            triu_cache[d] = np.triu_indices(d, 1)
-        ii, jj = triu_cache[d]
-        buf_u.append(nbrs[ii])
-        buf_v.append(nbrs[jj])
-        buffered += ii.shape[0]
-        if buffered >= chunk_cap:
-            if scan(np.concatenate(buf_u), np.concatenate(buf_v)):
-                return True
-            buf_u, buf_v, buffered = [], [], 0
-    if buffered and scan(np.concatenate(buf_u), np.concatenate(buf_v)):
-        return True
+        for pair in zip(pa[ok].tolist(), pb[ok].tolist()):
+            if pair not in probed:
+                probed.add(pair)
+                if percolates(*pair):
+                    return True
     return False
 
 
-def _seed_edge_trial(args) -> list:
-    n, alphas, ps, rng_seed, trial_index = args
-    rng = trial_rng(rng_seed, trial_index)
-    u, v, marks = sample_gnp_marked(n, ps[-1], rng)
-    outcomes = []
-    found = False
-    for p in ps:
-        if found:
-            outcomes.append(True)
-            continue
-        graph = _csr_from_mask(n, u, v, marks < p)
-        found = _has_seed_edge(graph, PeelingKernel(graph))
-        outcomes.append(found)
-    return outcomes
+def _seed_edge_probe(graph: Graph) -> tuple[bool]:
+    return (_has_seed_edge(graph, PeelingKernel(graph)),)
 
 
 @dataclass
@@ -573,16 +530,12 @@ def seed_edge_sweep(
     outcome sequence is literally monotone in alpha and the first success
     short-circuits the rest.
     """
-    alphas = sorted(float(a) for a in alpha_list)
-    if not alphas:
-        raise ValueError("alpha_list must be nonempty")
-    ps = [theta(2, a, n) for a in alphas]
-    argses = [(n, alphas, ps, rng_seed, t) for t in range(trials)]
-    results = _map_trials(_seed_edge_trial, argses, workers)
+    alphas, ps, outcomes = _marked_sweep(
+        _seed_edge_probe, n, alpha_list, trials, rng_seed, workers
+    )
     points = []
-    for j, (a, p) in enumerate(zip(alphas, ps)):
-        hits = sum(1 for out in results if out[j])
-        f = hits / trials
+    for a, p, col in zip(alphas, ps, outcomes):
+        f = sum(hit for (hit,) in col) / trials
         points.append(
             SeedEdgePoint(a, p, trials, f, math.sqrt(f * (1 - f) / trials))
         )
@@ -593,40 +546,24 @@ def seed_edge_sweep(
 # susceptibility sweep (r = 2 exhaustive)
 
 
-def _wedge_pair_candidates(graph: Graph):
-    seen = set()
-    indptr, indices = graph.indptr, graph.indices
-    for v in range(graph.n):
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        d = nbrs.shape[0]
-        for x in range(d):
-            for y in range(x + 1, d):
-                key = int(nbrs[x]) * graph.n + int(nbrs[y])
-                if key not in seen:
-                    seen.add(key)
-                    yield int(nbrs[x]), int(nbrs[y])
-
-
-def _susceptibility_trial(args) -> list:
-    n, alphas, ps, rng_seed, trial_index = args
-    rng = trial_rng(rng_seed, trial_index)
-    u, v, marks = sample_gnp_marked(n, ps[-1], rng)
-    out = []
-    for p in ps:
-        graph = _csr_from_mask(n, u, v, marks < p)
-        kernel = PeelingKernel(graph)
-        susceptible = False
-        max_spread = 2
-        for seed in _wedge_pair_candidates(graph):
+def _susceptibility_probe(graph: Graph) -> tuple[bool, int]:
+    """(whether some pair percolates, the largest spread seen), probing each
+    wedge pair once until one percolates; any other pair stops at size 2."""
+    n = graph.n
+    kernel = PeelingKernel(graph)
+    probed = set()
+    max_spread = 2
+    for pa, pb in wedge_pairs(graph):
+        for seed in zip(pa.tolist(), pb.tolist()):
+            if seed in probed:
+                continue
+            probed.add(seed)
             levels, _ = kernel.run(seed, 2, k_stop=None)
             size = levels[-1][0]
-            if size > max_spread:
-                max_spread = size
             if size == n:
-                susceptible = True
-                break
-        out.append((susceptible, max_spread))
-    return out
+                return True, n
+            max_spread = max(max_spread, size)
+    return False, max_spread
 
 
 @dataclass
@@ -654,7 +591,8 @@ def susceptibility_sweep(
     """Exhaustive 2-susceptibility and max-spread statistics per alpha.
 
     Candidate seeds are the pairs with a common neighbor (any other pair
-    stops at size 2); a full percolation short-circuits the scan.  Max
+    stops at size 2); a full percolation short-circuits the scan, and the
+    larger alphas of that trial, which report the same (True, n).  Max
     spreads are reported normalized by log n and compared against
     beta_star(alpha) + 1 (finite-size slack of one growth unit).
     """
@@ -662,17 +600,14 @@ def susceptibility_sweep(
         raise ValueError("only the exhaustive r=2 sweep is implemented")
     if n > SUSCEPTIBILITY_N_CAP:
         raise ValueError(f"exhaustive susceptibility capped at n <= {SUSCEPTIBILITY_N_CAP}")
-    alphas = sorted(float(a) for a in alpha_list)
-    if not alphas:
-        raise ValueError("alpha_list must be nonempty")
-    ps = [theta(2, a, n) for a in alphas]
-    argses = [(n, alphas, ps, rng_seed, t) for t in range(trials)]
-    results = _map_trials(_susceptibility_trial, argses, workers)
+    alphas, ps, outcomes = _marked_sweep(
+        _susceptibility_probe, n, alpha_list, trials, rng_seed, workers
+    )
     logn = math.log(n)
     points = []
-    for j, (a, p) in enumerate(zip(alphas, ps)):
-        sus = [out[j][0] for out in results]
-        spreads = np.array([out[j][1] for out in results], dtype=np.float64) / logn
+    for a, p, col in zip(alphas, ps, outcomes):
+        sus = [out[0] for out in col]
+        spreads = np.array([out[1] for out in col], dtype=np.float64) / logn
         f = sum(sus) / trials
         bound = beta_star(2, a) + 1.0
         points.append(
@@ -703,15 +638,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_csv(path: str, header, rows) -> None:
     with open(path, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+        fp.write(_csv_text(header, rows))
 
 
 def write_json(path: str, payload) -> None:
     with open(path, "w") as fp:
-        json.dump(payload, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+        fp.write(_json_text(payload))

@@ -1,0 +1,89 @@
+"""Golden output bytes of small CLI invocations.
+
+Each case runs `bootperc.cli.main` with `--out` and compares the SHA-256 of
+the file it writes with a pinned hash.  The cases cover every G(n,p)
+estimator in CSV and JSON (including the seed-policy "all" paths and alpha
+lists given out of order), branching-process survival for one eps and for
+a sweep, the hitting MC, and a count table.  A refactor that keeps every
+RNG draw in order and every formatter unchanged keeps these hashes; any
+change to output bytes shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from bootperc.cli import main
+
+GOLDEN = {
+    "gnp-pki-csv": (
+        ["gnp", "pki", "--n", "300", "--r", "2", "--alpha", "0.125",
+         "--trials", "8", "--seeds-per-graph", "25", "--k-max", "8",
+         "--seed", "13"],
+        "86bc1d5ed89f4dee552c77fe6f2f55a95c8cbd4464de4a7f117e8635cdc61b9f",
+    ),
+    "gnp-pki-json": (
+        ["gnp", "pki", "--n", "24", "--r", "2", "--p", "0.2", "--trials", "3",
+         "--seed-policy", "all", "--k-max", "6", "--seed", "5",
+         "--format", "json"],
+        "5a1bd53c7c8bfd9cddac823e5e111f7141a850ed1c71e0a8fbb4de94c779c87e",
+    ),
+    "gnp-terminal-csv": (
+        ["gnp", "terminal", "--n", "100", "--r", "2", "--p", "0.08",
+         "--trials", "8", "--seeds-per-graph", "5", "--seed", "4"],
+        "a1f81ee7b9366e0e9725a8e7fe43360391ad06a44842b4b04d9063c4e009754d",
+    ),
+    "gnp-terminal-json": (
+        ["gnp", "terminal", "--n", "20", "--r", "3", "--p", "0.35",
+         "--trials", "3", "--seed-policy", "all", "--seed", "9",
+         "--format", "json"],
+        "81ba25715f6a025bf2486754469f058f8d83a821366b2f6a4a8d476bad415570",
+    ),
+    "gnp-seed-edge-sweep-csv": (
+        ["gnp", "seed-edge-sweep", "--n", "200", "--alphas", "0.02", "0.75",
+         "3.0", "--trials", "10", "--seed", "11"],
+        "89b2bf46a53b8c480ef9a26921efcc0eecd557cdd040e61b3dbff90150a81a69",
+    ),
+    "gnp-seed-edge-sweep-json": (
+        ["gnp", "seed-edge-sweep", "--n", "60", "--alphas", "3.0", "0.5",
+         "8.0", "--trials", "12", "--seed", "21", "--format", "json"],
+        "90de40feaf5474ae2c81d0ecc0a67af9878e2c5b1f77d5a47d10a7bff60da77c",
+    ),
+    "gnp-susceptibility-sweep-csv": (
+        ["gnp", "susceptibility-sweep", "--n", "150", "--alphas", "0.0125",
+         "5.0", "--trials", "6", "--seed", "12"],
+        "be1cccea66039aa8c45559b94988633ebb1c8baad6b2dd883733ac99c503b6d9",
+    ),
+    "gnp-susceptibility-sweep-json": (
+        ["gnp", "susceptibility-sweep", "--n", "40", "--alphas", "6.0", "0.5",
+         "2.0", "--trials", "10", "--seed", "22", "--format", "json"],
+        "34911084c48be0e616d1dd06c7248702028259a9fddacfc9994d2b2223036182",
+    ),
+    "bp-survive-one": (
+        ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "2000",
+         "--seed", "1"],
+        "5d9607eb4856b85c606f4b10ff43232214594412a8e7fde60962740c4f753f18",
+    ),
+    "bp-survive-sweep": (
+        ["bp", "survive", "--r", "3", "--eps", "0.2", "0.3", "--trials", "1000",
+         "--seed", "1"],
+        "4ab3b2ebfe7cda9b195e6c8fedb3639afe18ca90b33d82a04b5b5f1af889feb4",
+    ),
+    "bp-hit-mc": (
+        ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2",
+         "--mc", "--trials", "3000"],
+        "35da4b7d6d9258ab0eddb7a6cd505c961e0b25776abd9000f240cccca347cd42",
+    ),
+    "counts-table": (
+        ["counts", "table", "--r", "2", "--k-max", "30"],
+        "7914ad41ef4fd70da07fa8596b3b44a606d8f45a85809693bb37ad78639ca6b4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_bytes_are_golden(name, tmp_path):
+    argv, want = GOLDEN[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

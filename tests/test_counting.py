@@ -6,6 +6,7 @@ graph with the right edge count through a self-contained bootstrap run.
 """
 
 import io
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, exp, factorial, isclose, lgamma, log
@@ -243,6 +244,28 @@ def test_csv_round_trip():
     assert back.entries == table.entries
     header = buf.getvalue().splitlines()[0]
     assert header == "r,k,i,variant,count"
+
+
+def test_csv_round_trip_past_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    count = 10**5000 + 7  # past the default 4300-digit int <-> str limit
+    table = CountTable(r=2, k_max=3, variant="exact", entries={(3, 1): count})
+    buf = io.StringIO()
+    table_to_csv(table, buf)
+    row = buf.getvalue().splitlines()[1].split(",")
+    assert row[:4] == ["2", "3", "1", "exact"]
+    assert len(row[4]) == 5001 and row[4] == "1" + "0" * 4999 + "7"
+    buf.seek(0)
+    back = table_from_csv(buf)
+    assert back.entries == {(3, 1): count}
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "-4", "x"])
+def test_csv_rejects_non_integer_counts(bad):
+    buf = io.StringIO(f"r,k,i,variant,count\n2,3,1,exact,{bad}\n")
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        table_from_csv(buf)
 
 
 def _sigma_exact(r, k, i, m):

@@ -3,10 +3,14 @@
 import io
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bootperc import engine
 from bootperc.counting import iter_minimally_susceptible
 from bootperc.engine import (
     Graph,
@@ -20,6 +24,7 @@ from bootperc.engine import (
     is_complete,
     is_susceptible,
     read_graph,
+    wedge_pairs,
     write_graph,
 )
 
@@ -156,6 +161,83 @@ def test_is_susceptible_matches_brute_force():
             assert (got.status == "yes") == want
             if want:
                 assert len(bootstrap(g, got.witness, r).final) == n
+
+
+def _wedge_pairs_reference(graph):
+    """Pairs with at least one common neighbor, in sorted order, by a
+    Python loop over every centre's neighbor pairs."""
+    pairs = set()
+    for w in range(graph.n):
+        row = graph.neighbors(w).tolist()
+        for a_idx in range(len(row)):
+            for b_idx in range(a_idx + 1, len(row)):
+                pairs.add((row[a_idx], row[b_idx]))
+    return sorted(pairs)
+
+
+def _chunk_sizes(first_chunk, chunk_cap):
+    return mock.patch.multiple(
+        engine, WEDGE_FIRST_CHUNK=first_chunk, WEDGE_CHUNK_CAP=chunk_cap
+    )
+
+
+@st.composite
+def _small_edge_sets(draw):
+    n = draw(st.integers(0, 30))
+    pairs = list(combinations(range(n), 2))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    bits = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return n, {e for e, x in zip(pairs, bits) if x < p}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_edges=_small_edge_sets(),
+    first_chunk=st.integers(1, 40),
+    chunk_cap=st.one_of(st.integers(1, 40), st.just(1 << 21)),
+)
+def test_wedge_pairs_match_brute_force(n_edges, first_chunk, chunk_cap):
+    n, edges = n_edges
+    graph = Graph(n, edges)
+    with _chunk_sizes(first_chunk, chunk_cap):
+        chunks = list(wedge_pairs(graph))
+    assert all(0 < a.shape[0] == b.shape[0] <= chunk_cap for a, b in chunks)
+    got = [
+        pair for a, b in chunks for pair in zip(a.tolist(), b.tolist())
+    ]
+    # centre-major, row-major within a centre: one entry per common neighbor
+    assert got == [
+        pair for c in range(n) for pair in combinations(graph.neighbors(c).tolist(), 2)
+    ]
+    assert all(a < b for a, b in got)
+    def adjacent(x, y):
+        return (min(x, y), max(x, y)) in edges
+
+    brute = {
+        (a, b) for a, b in combinations(range(n), 2)
+        if any(adjacent(a, c) and adjacent(b, c) for c in range(n))
+    }
+    assert set(got) == brute
+    keys = np.unique(np.array([a * n + b for a, b in got], dtype=np.int64))
+    assert list(zip((keys // max(n, 1)).tolist(), (keys % max(n, 1)).tolist())) == (
+        _wedge_pairs_reference(graph)
+    )
+
+
+def test_wedge_pairs_chunks_double_up_to_the_cap():
+    # 12 centres of C(11, 2) = 55 pairs; a chunk is flushed before it would
+    # outgrow its size (50, 100, then the cap of 200), and a centre's pairs
+    # are never split while they fit under the cap
+    g = complete_graph(12)
+    with _chunk_sizes(50, 200):
+        sizes = [a.shape[0] for a, _ in wedge_pairs(g)]
+    assert sizes == [55, 55, 165, 165, 165, 55]
+    # a centre with more pairs than the cap comes row by row (7, 6, ..., 1
+    # pairs), each row cut to the cap; chunk sizes grow 1, 2, 4, 5
+    star = Graph(9, [(0, v) for v in range(1, 9)])
+    with _chunk_sizes(1, 5):
+        sizes = [a.shape[0] for a, _ in wedge_pairs(star)]
+    assert sizes == [5, 2, 5, 1, 5, 4, 5, 1] and sum(sizes) == comb(8, 2)
 
 
 def test_is_susceptible_sampled():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bootperc import experiments as X
-from bootperc.engine import bootstrap
+from bootperc.branching import trial_rng
+from bootperc.counting import TableBudgetExceeded
+from bootperc.engine import Graph, bootstrap, wedge_pairs
 from bootperc.thresholds import critical_alpha, theta
 
 
@@ -163,8 +165,6 @@ def test_config_validation():
         X.ExperimentConfig(n=10**6, r=2, p=1e-5, seed_policy="all")
     with pytest.raises(ValueError):
         X.ExperimentConfig(n=10, r=2, p=0.1, k_max=2)
-    with pytest.raises(ValueError):
-        X.ExperimentConfig(n=10, r=2, p=0.1, out_format="xml")
 
 
 def test_first_step_law_matches_mc():
@@ -242,6 +242,26 @@ def test_estimate_pki_exhaustive_policy():
     )
     est = X.estimate_Pki(cfg)
     assert est.seed_trials == 6 * math.comb(18, 2)
+
+
+def test_estimate_pki_omits_comparator_past_table_budget(monkeypatch):
+    def over_budget(r, k_max):
+        raise TableBudgetExceeded("count table exceeds memory budget")
+
+    monkeypatch.setattr(X, "build_count_table", over_budget)
+    with pytest.warns(UserWarning, match="comparator omitted"):
+        est = X.estimate_Pki(_small_cfg(k_max=5))
+    assert est.comparator is None
+    assert est.freq and all(row[4] == "" for row in est.rows())
+
+
+def test_estimate_pki_comparator_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("comparator bug")
+
+    monkeypatch.setattr(X, "hitting_probability_exact", broken)
+    with pytest.raises(RuntimeError, match="comparator bug"):
+        X.estimate_Pki(_small_cfg(k_max=5))
 
 
 def test_comparator_keys_cover_k_range():
@@ -327,8 +347,38 @@ def test_seed_edge_sweep_coupled_outcomes_monotone_per_trial():
     alphas = [0.1, 0.5, 2.0, 6.0]
     ps = [theta(2, a, n) for a in alphas]
     for t in range(10):
-        out = X._seed_edge_trial((n, alphas, ps, 77, t))
+        out = [hit for (hit,) in X._marked_trial((X._seed_edge_probe, n, ps, 77, t))]
         assert out == sorted(out)
+
+
+@pytest.mark.parametrize(
+    "probe, n, alphas",
+    [
+        (X._seed_edge_probe, 120, [0.1, 0.5, 2.0, 6.0]),
+        (X._susceptibility_probe, 40, [0.0125, 0.5, 2.0, 6.0]),
+    ],
+)
+def test_marked_sweep_outcomes_equal_probing_each_alpha(probe, n, alphas):
+    ps = [theta(2, a, n) for a in alphas]
+    successes = 0
+    for t in range(12):
+        got = X._marked_trial((probe, n, ps, 78, t))
+        u, v, marks = X.sample_gnp_marked(n, ps[-1], trial_rng(78, t))
+        want = [
+            probe(Graph.from_arrays(n, u[marks < p], v[marks < p])) for p in ps
+        ]
+        assert got == want
+        successes += sum(out[0] for out in want[:-1])
+    assert successes > 0  # the short cut after a success was exercised
+
+
+def test_sweeps_workers_equivalent():
+    assert X.seed_edge_sweep(120, [0.5, 3.0], trials=6, rng_seed=3) == (
+        X.seed_edge_sweep(120, [0.5, 3.0], trials=6, rng_seed=3, workers=2)
+    )
+    assert X.susceptibility_sweep(60, 2, [0.5, 3.0], trials=6, rng_seed=4) == (
+        X.susceptibility_sweep(60, 2, [0.5, 3.0], trials=6, rng_seed=4, workers=2)
+    )
 
 
 def test_seed_edge_sweep_validation():
@@ -358,7 +408,9 @@ def test_susceptibility_sweep_validation():
 
 def test_susceptibility_candidates_are_wedge_pairs():
     g = X.sample_gnp(40, 0.15, 12)
-    cands = set(X._wedge_pair_candidates(g))
+    cands = {
+        pair for a, b in wedge_pairs(g) for pair in zip(a.tolist(), b.tolist())
+    }
     for u, v in cands:
         assert u < v
         common = np.intersect1d(g.neighbors(u), g.neighbors(v))
