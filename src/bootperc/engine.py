@@ -9,9 +9,10 @@ vertex must commit to r parent edges such that the accumulated witness edge
 set stays triangle-free.
 
 The percolation kernel stores neighborhoods and infected sets as packed bit
-sets (Python integers) and counts infected neighbors with popcount; the
-Monte Carlo harness in the experiments module has its own array kernel for
-graphs too large to pack.
+sets (Python integers) and counts infected neighbors with popcount.  The
+Monte Carlo harness in the experiments module has its own kernel for graphs
+too large to pack: it walks the CSR rows of the vertices a spread infects,
+keeping per-vertex stamps and counters in Python lists.
 
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
 seed search draws its candidates from wedge_pairs, the one enumerator of
@@ -48,6 +49,10 @@ DEFAULT_SUSCEPTIBILITY_CAP = 5_000_000  # seed sets examined exhaustively
 DEFAULT_WITNESS_BUDGET = 1_000_000  # parent-set trials in hat_bootstrap
 WEDGE_FIRST_CHUNK = 1 << 10  # target pairs in wedge_pairs' first chunk
 WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of wedge_pairs
+
+# np.triu_indices(d, 1) by degree d, shared across wedge_pairs calls for the
+# degrees with at most WEDGE_FIRST_CHUNK pairs (under 1 MB in all)
+_SMALL_TRIU: dict = {}
 
 
 class EngineError(Exception):
@@ -130,15 +135,13 @@ class Graph:
 
 
 def _csr_from_pairs(n, u, v):
-    heads = np.concatenate([u, v])
-    tails = np.concatenate([v, u])
-    order = np.lexsort((tails, heads))
-    heads = heads[order]
-    tails = tails[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails.astype(np.int64)
+    # one key head * n + tail per directed edge: sorting it orders the rows
+    # and each row's neighbors at once; row h spans keys [h n, (h + 1) n)
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return indptr, key
 
 
 def _build_masks(n, indptr, indices) -> list[int]:
@@ -330,10 +333,12 @@ def wedge_pairs(graph: Graph):
         d = nbrs.shape[0]
         if d < 2:
             continue
-        if d * (d - 1) // 2 <= chunk_cap:
-            if d not in triu:
-                triu[d] = np.triu_indices(d, 1)
-            ii, jj = triu[d]
+        n_pairs = d * (d - 1) // 2
+        if n_pairs <= chunk_cap:
+            cache = _SMALL_TRIU if n_pairs <= WEDGE_FIRST_CHUNK else triu
+            if d not in cache:
+                cache[d] = np.triu_indices(d, 1)
+            ii, jj = cache[d]
             pieces = [(nbrs[ii], nbrs[jj])]
         else:  # one row of the centre's pairs at a time, cut to the cap
             pieces = (

@@ -5,9 +5,10 @@ work is O(n^2 p).  Sweeps over alpha reuse one sample per trial through
 uniform edge marks: the subgraph at probability p keeps the edges with
 mark < p, which makes monotonicity in p literal rather than statistical.
 
-Percolations run on a peeling kernel whose work is proportional to the
-edges touched by the spread (counts and stamps are per-trial, so a graph
-is reused across many seeds without O(n) clearing).
+Percolations run on a peeling kernel.  Its per-vertex stamps and counters
+cost O(n) once per graph; a run costs only the degrees of the vertices it
+infects, since the stamps tell which counters belong to the current seed,
+so a graph serves many seeds without O(n) clearing.
 
 Two trial functions carry every estimate: _seeded_trial samples one graph,
 draws its seeds and returns each seed's level profile, for the (k, i)
@@ -63,18 +64,12 @@ SUSCEPTIBILITY_N_CAP = 3000
 
 def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # linear index over pairs u < v in u-major order:
-    # idx(u, v) = u(2n-u-1)/2 + (v-u-1); inversion via the quadratic root
-    # with integer correction for float rounding
-    b = 2 * n - 1
-    u = ((b - np.sqrt(b * b - 8.0 * idx)) // 2).astype(np.int64)
-    u = np.maximum(u, 0)
-    for _ in range(2):
-        off_next = (u + 1) * (b - (u + 1)) // 2
-        u = np.where(off_next <= idx, u + 1, u)
-        off = u * (b - u) // 2
-        u = np.where(off > idx, u - 1, u)
-    off = u * (b - u) // 2
-    v = idx - off + u + 1
+    # idx(u, v) = u(2n-u-1)/2 + (v-u-1); row u is the last row starting at
+    # or before idx, found by exact integer search (idx need not be sorted)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(row_start, idx, side="right") - 1
+    v = idx - row_start[u] + u + 1
     return u, v
 
 
@@ -134,16 +129,19 @@ class PeelingKernel:
     """Bootstrap percolation by synchronous rounds on a CSR graph.
 
     Reusable across seeds: per-vertex counters are validated by a trial
-    stamp, so starting a new seed costs O(|seed|), and a run costs the sum
-    of degrees of the vertices it infects.
+    stamp, so starting a new seed costs O(|seed|).  The kernel's state
+    (stamps, counters and row offsets, held as Python lists so that the
+    inner loop works on Python ints) costs O(n) once per graph; a run costs
+    the sum of degrees of the vertices it infects.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         n = graph.n
-        self._count = np.zeros(n, dtype=np.int64)
-        self._count_stamp = np.zeros(n, dtype=np.int64)
-        self._infected = np.zeros(n, dtype=np.int64)
+        self._indptr = graph.indptr.tolist()
+        self._count = [0] * n
+        self._count_stamp = [0] * n
+        self._infected = [0] * n
         self._trial = 0
 
     def run(
@@ -151,7 +149,7 @@ class PeelingKernel:
     ) -> tuple[list[tuple[int, int]], bool]:
         """Level profile [(|V_t|, |I_t|)] from t=0; True if stopped early.
 
-        Stops after the first completed level with |V_t| > k_stop; level
+        Stops after the first round t >= 1 with |V_t| > k_stop; level
         sizes already emitted are exact either way.
         """
         self._trial += 1
@@ -159,7 +157,7 @@ class PeelingKernel:
         infected = self._infected
         count = self._count
         count_stamp = self._count_stamp
-        indptr = self.graph.indptr
+        indptr = self._indptr
         indices = self.graph.indices
         raw = [int(s) for s in seed]
         cur = list(dict.fromkeys(raw))
@@ -174,15 +172,17 @@ class PeelingKernel:
         while cur:
             nxt = []
             for u in cur:
-                for w in indices[indptr[u] : indptr[u + 1]]:
+                for w in indices[indptr[u] : indptr[u + 1]].tolist():
                     if infected[w] == t:
                         continue
-                    if count_stamp[w] != t:
+                    if count_stamp[w] == t:
+                        c = count[w] + 1
+                    else:
                         count_stamp[w] = t
-                        count[w] = 0
-                    count[w] += 1
-                    if count[w] == r:
-                        nxt.append(int(w))
+                        c = 1
+                    count[w] = c
+                    if c == r:
+                        nxt.append(w)
             if not nxt:
                 return levels, False
             for w in nxt:

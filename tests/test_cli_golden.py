@@ -2,11 +2,11 @@
 
 Each case runs `bootperc.cli.main` with `--out` and compares the SHA-256 of
 the file it writes with a pinned hash.  The cases cover every G(n,p)
-estimator in CSV and JSON (including the seed-policy "all" paths and alpha
-lists given out of order), branching-process survival for one eps and for
-a sweep, the hitting MC, and a count table.  A refactor that keeps every
-RNG draw in order and every formatter unchanged keeps these hashes; any
-change to output bytes shows here.
+estimator in CSV and JSON (including the seed-policy "all" paths, alpha
+lists given out of order and one pki case at n = 10^5), branching-process
+survival for one eps and for a sweep, the hitting MC, and a count table.
+A refactor that keeps every RNG draw in order and every formatter
+unchanged keeps these hashes; any change to output bytes shows here.
 """
 
 import hashlib
@@ -21,6 +21,13 @@ GOLDEN = {
          "--trials", "8", "--seeds-per-graph", "25", "--k-max", "8",
          "--seed", "13"],
         "86bc1d5ed89f4dee552c77fe6f2f55a95c8cbd4464de4a7f117e8635cdc61b9f",
+    ),
+    # full size: the pair decode and CSR build on 1.65 million edges
+    "gnp-pki-csv-n100000": (
+        ["gnp", "pki", "--n", "100000", "--r", "2", "--alpha", "0.125",
+         "--trials", "1", "--seeds-per-graph", "200", "--k-max", "12",
+         "--seed", "13"],
+        "e91876570f17432f3338ebbb909d025ed250598058035689595c726d8bf4822a",
     ),
     "gnp-pki-json": (
         ["gnp", "pki", "--n", "24", "--r", "2", "--p", "0.2", "--trials", "3",

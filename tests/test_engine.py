@@ -485,3 +485,35 @@ def test_from_arrays_matches_list_construction():
     g1 = Graph(20, pairs)
     g2 = Graph.from_arrays(20, u, v)
     assert sorted(g1.edges()) == sorted(g2.edges())
+
+
+def _csr_reference(n, u, v):
+    """CSR by lexsort over both edge directions and np.add.at degrees."""
+    heads = np.concatenate([u, v])
+    tails = np.concatenate([v, u])
+    order = np.lexsort((tails, heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, tails[order].astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 60)),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+def test_csr_from_pairs_matches_lexsort_reference(n, density, order_seed):
+    # deduplicated edges, each given in either direction, in random order
+    rng = np.random.default_rng(order_seed)
+    pairs = [e for e in combinations(range(n), 2) if rng.random() < density]
+    rng.shuffle(pairs)
+    flip = rng.random(len(pairs)) < 0.5
+    u = np.array([b if f else a for (a, b), f in zip(pairs, flip)], dtype=np.int64)
+    v = np.array([a if f else b for (a, b), f in zip(pairs, flip)], dtype=np.int64)
+    indptr, indices = engine._csr_from_pairs(n, u, v)
+    want_ptr, want_idx = _csr_reference(n, u, v)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert np.array_equal(indptr, want_ptr)
+    assert np.array_equal(indices, want_idx)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc import experiments as X
 from bootperc.branching import trial_rng
@@ -35,6 +37,34 @@ def test_pair_inversion_large_n_extremes():
     assert (u < v).all() and (u >= 0).all() and (v < n).all()
     fwd = u * (2 * n - u - 1) // 2 + (v - u - 1)
     assert np.array_equal(fwd, idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 200_000),
+    idx_seed=st.integers(0, 2**32 - 1),
+    shuffle=st.booleans(),
+)
+def test_pair_inversion_matches_forward_formula(n, idx_seed, shuffle):
+    # u-major order puts row u's pairs (u, u+1) .. (u, n-1) at linear
+    # indices u(2n-u-1)/2 .. u(2n-u-1)/2 + n-u-2
+    total = n * (n - 1) // 2
+    rows = np.arange(n - 1, dtype=np.int64)
+    first = rows * (2 * n - rows - 1) // 2
+    last = first + (n - rows - 2)
+    assert [a.tolist() for a in X._pairs_from_linear(n, first)] == [
+        rows.tolist(), (rows + 1).tolist()
+    ]
+    assert [a.tolist() for a in X._pairs_from_linear(n, last)] == [
+        rows.tolist(), [n - 1] * (n - 1)
+    ]
+    rng = np.random.default_rng(idx_seed)
+    idx = np.concatenate([first, last, rng.integers(0, total, size=1000)])
+    idx = rng.permutation(idx) if shuffle else np.sort(idx)
+    u, v = X._pairs_from_linear(n, idx)
+    assert u.dtype == v.dtype == np.int64
+    assert (0 <= u).all() and (u < v).all() and (v < n).all()
+    assert np.array_equal(u * (2 * n - u - 1) // 2 + (v - u - 1), idx)
 
 
 def test_sample_gnp_p_zero_and_one():
@@ -87,27 +117,50 @@ def test_marked_sample_coupling_is_monotone():
 # peeling kernel
 
 
-def test_kernel_matches_engine_bootstrap():
-    rng = np.random.default_rng(7)
-    for t in range(25):
-        n = int(rng.integers(3, 40))
-        p = float(rng.uniform(0, 0.4))
-        g = X.sample_gnp(n, p, 1000 + t)
-        kern = X.PeelingKernel(g)
-        for r in (2, 3):
-            if n < r:
-                continue
-            for _ in range(3):
-                seed = tuple(int(x) for x in rng.choice(n, size=r, replace=False))
-                tr = bootstrap(g, seed, r)
-                levels, trunc = kern.run(seed, r)
-                assert not trunc
-                cum = 0
-                want = []
-                for lv in tr.levels:
-                    cum += len(lv)
-                    want.append((cum, len(lv)))
-                assert levels == want
+def _profile(trace):
+    """(|V_t|, |I_t|) per level of an engine.bootstrap trace."""
+    cum, out = 0, []
+    for level in trace.levels:
+        cum += len(level)
+        out.append((cum, len(level)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    p=st.floats(0.0, 0.6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([2, 3, 4]),
+    seed_draws=st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.one_of(st.none(), st.integers(0, 40)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_kernel_matches_engine_bootstrap(n, p, graph_seed, r, seed_draws):
+    # the bitset engine is the oracle; every seed runs on one kernel, so
+    # stamps left by earlier runs must not leak into later ones
+    g = X.sample_gnp(n, p, graph_seed)
+    kern = X.PeelingKernel(g)
+    for draw_seed, k_stop, numpy_ints in seed_draws:
+        seed = np.random.default_rng(draw_seed).choice(n, size=r, replace=False)
+        if not numpy_ints:
+            seed = tuple(int(x) for x in seed)
+        want = _profile(bootstrap(g, tuple(int(x) for x in seed), r))
+        levels, truncated = kern.run(seed, r, k_stop=k_stop)
+        # k_stop cuts after the first round t >= 1 past it: an exact prefix
+        cut = None if k_stop is None else next(
+            (t for t in range(1, len(want)) if want[t][0] > k_stop), None
+        )
+        if cut is None:
+            assert (levels, truncated) == (want, False)
+        else:
+            assert (levels, truncated) == (want[: cut + 1], True)
 
 
 def test_kernel_k_stop_is_exact_prefix():
