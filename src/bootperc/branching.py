@@ -14,9 +14,12 @@ and the two simulators live here.
 
 Trials derive their RNG stream from (rng_seed, trial_index) through a
 counter-based Philox generator, so outcomes are reproducible and
-parallelizable regardless of scheduling.  Poisson variates come from
-numpy's Generator.poisson (inversion for small means, transformed
-rejection for large ones).
+parallelizable regardless of scheduling.  Each process holds one Philox
+bit generator and re-keys it to [rng_seed, trial_index] with a zero
+counter at the start of every trial: the stream is the one a new
+Philox(key=[rng_seed, trial_index]) gives, without building one per
+trial.  Poisson variates come from numpy's Generator.poisson (inversion
+for small means, transformed rejection for large ones).
 """
 
 import math
@@ -47,10 +50,35 @@ __all__ = [
 DEFAULT_K_CAP = 60
 
 
+_KEY_LIMIT = 2**64
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_BITGEN = np.random.Philox(key=_ZERO4[:2])
+_GENERATOR = np.random.Generator(_BITGEN)
+
+
 def trial_rng(rng_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent reproducible stream for one trial."""
-    key = np.array([rng_seed, trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent reproducible stream for one trial.
+
+    The stream equals that of Generator(Philox(key=[rng_seed, trial_index])),
+    draw for draw.  The returned generator is the process's only one: the
+    next trial_rng call re-keys it, so a trial reads its stream to the end
+    before the next trial starts, and threads must not share it.  Worker
+    processes each hold their own.
+    """
+    if not 0 <= rng_seed < _KEY_LIMIT:
+        raise ValueError(f"rng_seed must lie in [0, 2**64), got {rng_seed}")
+    if not 0 <= trial_index < _KEY_LIMIT:
+        raise ValueError(f"trial_index must lie in [0, 2**64), got {trial_index}")
+    # the setter copies the arrays, so the zero arrays can be shared
+    _BITGEN.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": (rng_seed, trial_index)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _GENERATOR
 
 
 @dataclass(frozen=True)
@@ -115,6 +143,13 @@ def _validate_r_eps(r: int, eps: float) -> None:
         raise ValueError(f"threshold r must be >= 2, got {r}")
     if eps < 0 or not math.isfinite(eps):
         raise ValueError(f"eps must be nonnegative, got {eps}")
+
+
+def _validate_k_i(r: int, k: int, i: int) -> None:
+    if not r < k:
+        raise ValueError(f"need r < k, got r={r}, k={k}")
+    if not 1 <= i <= k - r:
+        raise ValueError(f"need 1 <= i <= k-r, got i={i}, k-r={k - r}")
 
 
 def simulate_walk(
@@ -225,10 +260,7 @@ def hitting_probability_exact(
 ) -> float:
     """P(for some t, S_t = k and Y_t = i), exactly."""
     _validate_r_eps(r, eps)
-    if not r < k:
-        raise ValueError(f"need r < k, got r={r}, k={k}")
-    if not 1 <= i <= k - r:
-        raise ValueError(f"need 1 <= i <= k-r, got i={i}, k-r={k - r}")
+    _validate_k_i(r, k, i)
     if table is None:
         table = build_count_table(r, k)
     if table.r != r or table.variant != "exact" or table.k_max < k:
@@ -287,6 +319,9 @@ def hitting_frequency_mc(
     k_cap: int = DEFAULT_K_CAP,
 ) -> HitEstimate:
     """MC frequency of {exists t: S_t = k, Y_t = i}."""
+    _validate_k_i(r, k, i)
+    if k > k_cap:
+        raise ValueError("k beyond the population cap is unobservable")
     return HitEstimate(trials, *_bernoulli_mc(
         trials,
         lambda t: (k, i) in simulate_generations(

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc import branching as bp
 from bootperc.counting import build_count_table
@@ -223,8 +225,27 @@ def test_reach_frequency_validation():
         bp.reach_frequency_mc(2, 0.1, 100, 10, 0, k_cap=60)
 
 
+@pytest.mark.parametrize(
+    "k, i",
+    [
+        (61, 1),  # beyond the population cap
+        (2, 1),  # k <= r
+        (5, 0),  # i < 1
+        (5, 4),  # i > k - r
+    ],
+)
+def test_hitting_frequency_rejects_unobservable_events(k, i):
+    with pytest.raises(ValueError):
+        bp.hitting_frequency_mc(2, 0.1, k, i, 10, 0, k_cap=60)
+
+
 # ---------------------------------------------------------------------------
 # RNG streams
+
+
+def _fresh_rng(rng_seed, trial_index):
+    key = np.array([rng_seed, trial_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def test_trial_rng_reproducible_and_distinct():
@@ -233,3 +254,50 @@ def test_trial_rng_reproducible_and_distinct():
     c = bp.trial_rng(12345, 8).poisson(2.0, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # two keys, interleaved: each re-key restarts that key's own stream
+    want = {t: _fresh_rng(12345, t).poisson(2.0, size=8) for t in (7, 8)}
+    for t in (7, 8, 7, 7, 8):
+        assert np.array_equal(bp.trial_rng(12345, t).poisson(2.0, size=8), want[t])
+
+
+def _every_draw(rng):
+    """One of each draw type the trial functions make, in a fixed order."""
+    out = [np.array([rng.poisson(mean) for mean in (0.05, 0.7, 3.0, 12.5, 40.0)])]
+    out.append(rng.poisson(2.5, size=7))
+    out.append(rng.geometric(0.013, size=9))
+    out.append(rng.choice(5, size=2, replace=False))
+    out.append(rng.choice(100_000, size=3, replace=False))
+    out.append(np.array([rng.random()]))
+    out.append(rng.uniform(0.0, 0.3, size=4))
+    return out
+
+
+# what a previous trial may leave behind in the generator
+_DIRTY = {
+    "clean": lambda rng: None,
+    "half-used 64-bit buffer": lambda rng: rng.random(3),
+    "pending uint32": lambda rng: rng.integers(0, 7, dtype=np.uint32),
+    "small choice": lambda rng: rng.choice(4, size=2, replace=False),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng_seed=st.integers(0, 2**64 - 1),
+    trial_index=st.integers(0, 2**64 - 1),
+    dirty=st.sampled_from(sorted(_DIRTY)),
+)
+def test_trial_rng_equals_fresh_philox(rng_seed, trial_index, dirty):
+    _DIRTY[dirty](bp.trial_rng(rng_seed ^ 1, trial_index))
+    got = _every_draw(bp.trial_rng(rng_seed, trial_index))
+    want = _every_draw(_fresh_rng(rng_seed, trial_index))
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "rng_seed, trial_index", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)]
+)
+def test_trial_rng_rejects_keys_outside_uint64(rng_seed, trial_index):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        bp.trial_rng(rng_seed, trial_index)

@@ -195,6 +195,23 @@ def test_gnp_config_error_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "10",
+         "--seed", "-1"],
+        ["gnp", "pki", "--n", "30", "--r", "2", "--alpha", "0.5",
+         "--trials", "4", "--k-max", "4", "--seed", "-3", "--workers", "0"],
+        ["gnp", "pki", "--n", "30", "--r", "2", "--alpha", "0.5",
+         "--trials", "4", "--k-max", "4", "--seed", "-3", "--workers", "2"],
+    ],
+)
+def test_negative_seed_is_config_error_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 2**64)" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -4,7 +4,8 @@ Each case runs `bootperc.cli.main` with `--out` and compares the SHA-256 of
 the file it writes with a pinned hash.  The cases cover every G(n,p)
 estimator in CSV and JSON (including the seed-policy "all" paths, alpha
 lists given out of order and one pki case at n = 10^5), branching-process
-survival for one eps and for a sweep, the hitting MC, and a count table.
+survival for one eps, for a sweep and with walks ending at the hard cap, the
+hitting MC at r = 2 and r = 3, and a count table.
 A refactor that keeps every RNG draw in order and every formatter
 unchanged keeps these hashes; any change to output bytes shows here.
 """
@@ -76,10 +77,21 @@ GOLDEN = {
          "--seed", "1"],
         "4ab3b2ebfe7cda9b195e6c8fedb3639afe18ca90b33d82a04b5b5f1af889feb4",
     ),
+    # --m beyond reach: the surviving walks end at hard_cap
+    "bp-survive-hard-cap": (
+        ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "500",
+         "--m", "1000000", "--seed", "3"],
+        "49f1d2b40798a58de48965c8f85c53433972e861af46b8333bf495121e5abb5c",
+    ),
     "bp-hit-mc": (
         ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2",
          "--mc", "--trials", "3000"],
         "35da4b7d6d9258ab0eddb7a6cd505c961e0b25776abd9000f240cccca347cd42",
+    ),
+    "bp-hit-mc-r3": (
+        ["bp", "hit", "--r", "3", "--eps", "0.2", "--k", "5", "--i", "1",
+         "--mc", "--trials", "3000", "--seed", "7"],
+        "2d97b129f37e574b04929b6e05d492ec8fa119b2469ab33f88a72788a0c2dc11",
     ),
     "counts-table": (
         ["counts", "table", "--r", "2", "--k-max", "30"],
