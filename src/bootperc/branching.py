@@ -86,13 +86,30 @@ class WalkPolicy:
     """Survival-declaration rule: survived once t >= ceil(c1 * k_r(eps)) and
     X_t >= m.  Past k_r the offspring mean C(t, r-1) eps exceeds 1 and keeps
     growing, so a walk at height m there dies with probability < (1/e)^m
-    per the usual supercritical hitting bound; the default (4 k_r, 50)
-    pushes that below 1e-6.  hard_cap_factor bounds the simulation length
-    for walks lingering below m."""
+    per the usual supercritical hitting bound.  The certificate that a
+    declared survival is wrong with probability below 1e-6 holds for the
+    defaults (4 k_r, 50); other values are accepted without it.
+    hard_cap_factor bounds the simulation length for walks lingering
+    below m.
+
+    Raises ValueError unless c1 and hard_cap_factor are finite and > 0 and
+    m >= 1: outside that range a walk is declared to survive on no evidence
+    (m = 0 at time 0, for instance).
+    """
 
     c1: float = 4.0
     m: int = 50
     hard_cap_factor: float = 10.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.c1) and self.c1 > 0):
+            raise ValueError(f"c1 must be finite and > 0, got {self.c1}")
+        if not self.m >= 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not (math.isfinite(self.hard_cap_factor) and self.hard_cap_factor > 0):
+            raise ValueError(
+                f"hard_cap_factor must be finite and > 0, got {self.hard_cap_factor}"
+            )
 
     def t_cut(self, r: int, eps: float) -> int:
         if eps <= 0:

@@ -98,11 +98,12 @@ def _cmd_counts_table(args) -> int:
     table = counting.build_count_table(
         args.r, args.k_max, variant=args.variant, level_bound=args.level_bound
     )
-    import io
-
-    buf = io.StringIO()
-    counting.table_to_csv(table, buf)
-    _emit(buf.getvalue(), args.out)
+    # Streamed row by row: at k_max = 200 the text runs to 14 MB.
+    if args.out:
+        with open(args.out, "w") as fp:
+            counting.table_to_csv(table, fp)
+    else:
+        counting.table_to_csv(table, sys.stdout)
     return 0
 
 

@@ -21,6 +21,13 @@ for i < k-r, where a_r(x, y) = C(x, r) - C(x-y, r) counts the r-subsets of
 an x-set that meet a distinguished y-subset (the admissible parent sets of a
 top-level vertex above a graph whose own top level has size y).
 
+The table is filled x-major: row x = k - i feeds exactly the entries
+m_r(x+i, i), so once the rows below x are done, row x is final and its
+terms q_j = a_r(x, j)^i m_r(x, j) are advanced from i to i+1 by one
+multiplication by the small integer a_r(x, j) (below 2^26 at k = 200).  Only
+that one row of running products is live, and no two big integers are ever
+multiplied together.
+
 The triangle-free tables use
 
     hat_a_r(x, y) = max(0, a_r(x, y) - 2*r*y*x^(r-2))
@@ -187,12 +194,21 @@ def build_count_table(
     level_bound: int | None = None,
     memory_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> CountTable:
-    """Fill the (k, i) count table bottom-up by the recurrence.
+    """Fill the (k, i) count table by the recurrence, row x = k - i at a time.
+
+    For x = r+1, ..., k_max-1 in order, row x is complete; the running
+    products q_j = m_r(x, j) a_r(x, j)^i, one per j, are multiplied by
+    a_r(x, j) for each i = 1, 2, ... and give m_r(x+i, i) =
+    C(x+i-r, i) sum_j q_j.  Each step multiplies a big integer by a small
+    one; only the current row's products are held.  entries is keyed in
+    the order k ascending, then i = k - r, then i = 1, 2, ...
 
     variant "exact" uses a_r, the triangle-free variants use hat_a_r; the
     level-bounded variant restricts both the stored top-level sizes and the
     summation index j to level_bound.  Exact integer arithmetic throughout.
-    Raises TableBudgetExceeded if the stored integers outgrow memory_budget.
+    Raises TableBudgetExceeded if the stored integers outgrow memory_budget;
+    the stored total only grows, so whether it raises depends on the final
+    total alone, and the cell it names is the one filled when it crossed.
     """
     if r < 2:
         raise ValueError(f"threshold r must be >= 2, got {r}")
@@ -207,14 +223,10 @@ def build_count_table(
     else:
         level_bound = None
     count_fn = a_count if variant == "exact" else hat_a_count
+    cap = level_bound if bounded else k_max
 
     entries: dict[tuple[int, int], int] = {}
     used = 0
-    # Per x = k - i, parent-set counts a(x, j) and their running powers
-    # a(x, j)^i, advanced by one multiplication each time i grows.
-    a_vals: dict[int, list[int]] = {}
-    powers: dict[int, list[int]] = {}
-    power_exp: dict[int, int] = {}
 
     def store(k: int, i: int, value: int) -> None:
         nonlocal used
@@ -226,34 +238,23 @@ def build_count_table(
                 f"at (k={k}, i={i})"
             )
 
+    # Every key goes in first, in the order the entries keep: k ascending,
+    # then the top level i = k - r, then i = 1, 2, ...
     for k in range(r + 1, k_max + 1):
         top = k - r
-        if not bounded or top <= level_bound:
+        if top <= cap:
             store(k, top, 1)
-        i_hi = min(top - 1, level_bound) if bounded else top - 1
-        for i in range(1, i_hi + 1):
-            x = k - i
-            if x not in a_vals:
-                jj = x - r
-                a_vals[x] = [count_fn(r, x, j) for j in range(1, jj + 1)]
-                powers[x] = [1] * jj
-                power_exp[x] = 0
-            while power_exp[x] < i:
-                row_a = a_vals[x]
-                row_p = powers[x]
-                for idx, a in enumerate(row_a):
-                    row_p[idx] *= a
-                power_exp[x] += 1
-            j_hi = x - r
-            if bounded:
-                j_hi = min(j_hi, level_bound)
-            row_p = powers[x]
-            acc = 0
-            for j in range(1, j_hi + 1):
-                mj = entries.get((x, j))
-                if mj:
-                    acc += row_p[j - 1] * mj
-            store(k, i, comb(top, i) * acc)
+        for i in range(1, min(top - 1, cap) + 1):
+            entries[(k, i)] = 0
+    # Row x is final here: the rows below it were its only inputs.
+    for x in range(r + 1, k_max):
+        pairs = [(count_fn(r, x, j), entries[(x, j)])
+                 for j in range(1, min(x - r, cap) + 1)]
+        a_row = [a for a, m in pairs if a and m]
+        q = [m for a, m in pairs if a and m]
+        for i in range(1, min(k_max - x, cap) + 1):
+            q = [qj * a for qj, a in zip(q, a_row)]
+            store(x + i, i, comb(x + i - r, i) * sum(q))
     return CountTable(r=r, k_max=k_max, variant=variant, entries=entries,
                       level_bound=level_bound)
 
@@ -470,23 +471,37 @@ def lambda_weight_sum_log(i: int) -> tuple[float, int]:
     if i < 1:
         raise ValueError("need i >= 1")
     ex = i - 0.5
-    terms: list[float] = []
     peak = max(1.0, ex)
-    j = 0
-    while True:
-        j += 1
-        terms.append(ex * log(j) - j)
-        if j <= peak + 1:
-            continue
+    # The stop test is made only past j = peak + 1.  There the log-terms
+    # ex*log(j) - j fall, so their maximum m is fixed, and the test is
+    # monotone in j: the remainder bound falls and the partial sum grows.
+    # The first j that passes is found by doubling, then bisection.
+    j_first = int(peak + 1) + 1
+    terms = [ex * log(j) - j for j in range(1, j_first + 1)]
+    m = max(terms)
+    weights = [exp(t - m) for t in terms]
+
+    def passes(j: int) -> bool:
+        while len(weights) < j:
+            t = ex * log(len(weights) + 1) - (len(weights) + 1)
+            weights.append(exp(t - m))
         # past the peak the ratio ((j+1)/j)^ex * e^-1 is < 1 and decreasing
         ratio = exp(ex * log((j + 1) / j) - 1.0)
         if ratio >= 1.0:
-            continue
-        m = max(terms)
-        partial = fsum(exp(t - m) for t in terms)
-        tail = exp(terms[-1] - m) * ratio / (1.0 - ratio)
-        if tail < 1e-16 * partial:
-            return m + log(partial), j
+            return False
+        tail = weights[j - 1] * ratio / (1.0 - ratio)
+        return tail < 1e-16 * fsum(weights[:j])
+
+    failed, j, step = j_first - 1, j_first, 1
+    while not passes(j):
+        failed, j, step = j, j + step, 2 * step
+    while j - failed > 1:
+        mid = (failed + j) // 2
+        if passes(mid):
+            j = mid
+        else:
+            failed = mid
+    return m + log(fsum(weights[:j])), j
 
 
 def induction_step_report(i: int) -> dict:

@@ -436,6 +436,8 @@ def _marked_sweep(probe, n: int, alpha_list, trials: int, rng_seed: int, workers
     """Sorted alphas, their p = theta_2(alpha, n), and per alpha the probe
     outcomes of every trial.  probe must be a module-level function, so
     that worker processes can unpickle it."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     alphas = sorted(float(a) for a in alpha_list)
     if not alphas:
         raise ValueError("alpha_list must be nonempty")

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, fsum, log, e as _e
 
+import numpy as np
+
 __all__ = [
     "ThresholdParams",
     "GridSpec",
@@ -422,6 +424,19 @@ def verify_inequalities(
       beta_eps_below_root     beta_{r,eps} < beta_star((1+eps) alpha_r),
                               plus the closed form for mu* there
 
+    The three float claims (small_beta_domination, penalized_min,
+    mu_eps_gamma_concavity) are screened and then confirmed.  numpy
+    evaluates each (r, alpha) slice over the whole (eps, beta, gamma) block
+    and clears a row (one beta, or one (eps, beta), over all gammas) only
+    when every point in it holds with room to spare: more than SCREEN_BAND
+    times the summed magnitude of the formula's terms, far above array
+    rounding.  Every row not cleared is checked point by point by the
+    scalar mu, mu_star, mu_bar and mu_eps, which decide and supply every
+    float of a violation; a slice with a point outside their domain is not
+    screened, so they raise where they always did.  The report, grid_size
+    included, is the same as with the scalar functions alone.  The bounds
+    (mu_star) are always scalar.
+
     Returns a JSON-ready report; violations are content, not errors.
     """
     grid = grid or GridSpec()
@@ -452,18 +467,87 @@ def verify_inequalities(
     return report
 
 
+# The array screen of the three float claims (see verify_inequalities).  A
+# point is cleared when it holds by more than SCREEN_BAND times the summed
+# magnitude of its formula's terms; array rounding is some 1e-16 of that.
+SCREEN_BAND = 1e-9
+
+
+def _mu_array(r, alpha, beta, gamma):
+    """mu over broadcast arrays, and the summed magnitude of its terms."""
+    logs = beta * np.log(alpha * beta ** (r - 1) / factorial(r - 1))
+    poly = (alpha * beta**r / factorial(r)) * (1 - gamma) ** r
+    lin = beta * (r - 2 + gamma)
+    return r + logs - poly - lin, r + np.abs(logs) + poly + lin
+
+
+def _mu_bar_penalty_array(r, alpha, beta, gamma):
+    """The penalty mu_bar - mu over broadcast arrays, and its magnitude."""
+    xi = beta_r(r, alpha) - beta
+    pen = xi * np.log(_e * alpha * beta**r * gamma / (xi * factorial(r - 1)))
+    return pen, np.abs(pen)
+
+
+def _mu_eps_array(r, eps, alpha, beta, gamma):
+    """mu_eps over broadcast arrays, and the summed magnitude of its terms."""
+    logs = beta * np.log(alpha * beta ** (r - 1) * (1 - gamma) / factorial(r - 1))
+    poly = (alpha * beta**r / factorial(r)) * (1 - gamma) ** r
+    lin = beta * (r - 2 + eps * gamma)
+    return r + logs - poly - lin, r + np.abs(logs) + poly + lin
+
+
+def _in_domain(alpha, betas, gammas, epss=(), gamma_positive=False) -> bool:
+    """Whether every point is finite and in the scalar functions' domain:
+    alpha, beta, eps > 0 and 0 <= gamma < 1 (0 < gamma with gamma_positive)."""
+    b = np.asarray(betas, dtype=float)
+    g = np.asarray(gammas, dtype=float)
+    e = np.asarray(epss, dtype=float)
+    g_lo = g > 0 if gamma_positive else g >= 0
+    return bool(
+        np.isfinite(alpha) and alpha > 0
+        and np.all(np.isfinite(b) & (b > 0))
+        and np.all(g_lo & (g < 1))
+        and np.all(np.isfinite(e) & (e > 0))
+    )
+
+
+def _rows_to_confirm(excess, scale) -> list[int]:
+    """Flat indices of the rows (every axis but the last, which is gamma)
+    holding a point the screen does not clear.  A point violates its claim
+    when its excess is above 0 (at or above 0 for concavity); it is cleared
+    when excess and scale are finite and excess <= -SCREEN_BAND * scale."""
+    with np.errstate(invalid="ignore"):
+        cleared = (np.isfinite(excess) & np.isfinite(scale)
+                   & (excess <= -SCREEN_BAND * scale))
+    return np.flatnonzero(~cleared.all(axis=-1)).tolist()
+
+
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
 def _check_small_beta(r_set, grid):
     size = 0
     violations = []
+    gammas = grid.gammas()
     for r in r_set:
         for alpha in grid.alphas(r):
             b_r = beta_r(r, alpha)
-            for beta in grid.betas(r, alpha):
-                if beta > b_r:
-                    continue
-                star = mu_star(r, alpha, beta)
-                for gamma in grid.gammas():
-                    size += 1
+            betas = [beta for beta in grid.betas(r, alpha) if not beta > b_r]
+            size += len(betas) * len(gammas)
+            rows = range(len(betas))
+            stars = None
+            if _in_domain(alpha, betas, gammas):
+                stars = [mu_star(r, alpha, beta) for beta in betas]
+                with np.errstate(all="ignore"):
+                    val, scale = _mu_array(r, alpha, _column(betas),
+                                           np.asarray(gammas, dtype=float))
+                    excess = val - (_column(stars) + SLACK)
+                rows = _rows_to_confirm(excess, scale)
+            for b in rows:
+                beta = betas[b]
+                star = mu_star(r, alpha, beta) if stars is None else stars[b]
+                for gamma in gammas:
                     val = mu(r, alpha, beta, gamma)
                     if val > star + SLACK:
                         violations.append(
@@ -476,15 +560,28 @@ def _check_small_beta(r_set, grid):
 def _check_penalized_min(r_set, grid):
     size = 0
     violations = []
+    gammas = grid.gammas()
     for r in r_set:
         for alpha in grid.alphas(r):
             b_r = beta_r(r, alpha)
             bound = mu_star(r, alpha, b_r)
-            for beta in grid.betas(r, alpha):
-                if beta > b_r:
-                    continue
-                for gamma in grid.gammas():
-                    size += 1
+            betas = [beta for beta in grid.betas(r, alpha) if not beta > b_r]
+            size += len(betas) * len(gammas)
+            rows = range(len(betas))
+            if _in_domain(alpha, betas, gammas, gamma_positive=True):
+                beta_col = _column(betas)
+                g = np.asarray(gammas, dtype=float)
+                with np.errstate(all="ignore"):
+                    val, scale = _mu_array(r, alpha, beta_col, g)
+                    pen, pen_scale = _mu_bar_penalty_array(r, alpha, beta_col, g)
+                    penalized = b_r - beta_col > 1e-12
+                    val = np.where(penalized, np.minimum(val, val + pen), val)
+                    scale = np.where(penalized, scale + pen_scale, scale)
+                    excess = val - (bound + SLACK)
+                rows = _rows_to_confirm(excess, scale)
+            for b in rows:
+                beta = betas[b]
+                for gamma in gammas:
                     val = mu(r, alpha, beta, gamma)
                     if b_r - beta > 1e-12:
                         val = min(val, mu_bar(r, alpha, beta, gamma))
@@ -512,18 +609,30 @@ def _check_mu_eps_concavity(r_set, grid):
     gammas = grid.gammas()
     for r in r_set:
         for alpha in grid.alphas(r):
-            for eps in grid.epss(r):
-                for beta in grid.betas(r, alpha):
-                    vals = [mu_eps(r, eps, alpha, beta, g) for g in gammas]
-                    for t in range(1, len(gammas) - 1):
-                        size += 1
-                        second = vals[t - 1] - 2 * vals[t] + vals[t + 1]
-                        if second >= 0:
-                            violations.append(
-                                {"r": r, "alpha": alpha, "eps": eps,
-                                 "beta": beta, "gamma": gammas[t],
-                                 "second_difference": second}
-                            )
+            epss = grid.epss(r)
+            betas = grid.betas(r, alpha) if epss else []
+            size += len(epss) * len(betas) * max(0, len(gammas) - 2)
+            rows = range(len(epss) * len(betas))
+            if _in_domain(alpha, betas, gammas, epss):
+                with np.errstate(all="ignore"):
+                    val, scale = _mu_eps_array(
+                        r, _column(epss)[:, :, None], alpha, _column(betas),
+                        np.asarray(gammas, dtype=float),
+                    )
+                    second = val[..., :-2] - 2 * val[..., 1:-1] + val[..., 2:]
+                    scale = scale[..., :-2] + 2 * scale[..., 1:-1] + scale[..., 2:]
+                rows = _rows_to_confirm(second, scale)
+            for row in rows:
+                eps, beta = epss[row // len(betas)], betas[row % len(betas)]
+                vals = [mu_eps(r, eps, alpha, beta, g) for g in gammas]
+                for t in range(1, len(gammas) - 1):
+                    second = vals[t - 1] - 2 * vals[t] + vals[t + 1]
+                    if second >= 0:
+                        violations.append(
+                            {"r": r, "alpha": alpha, "eps": eps,
+                             "beta": beta, "gamma": gammas[t],
+                             "second_difference": second}
+                        )
     return size, violations
 
 

@@ -117,6 +117,25 @@ def test_walk_validation():
         bp.simulate_walk(2, -0.1, 0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"c1": 0.0}, {"c1": -1.0}, {"c1": math.inf}, {"c1": math.nan},
+        {"m": 0}, {"m": -3},
+        {"hard_cap_factor": 0.0}, {"hard_cap_factor": -2.0},
+        {"hard_cap_factor": math.inf}, {"hard_cap_factor": math.nan},
+    ],
+)
+def test_walk_policy_rejects_values_without_a_certificate(bad):
+    with pytest.raises(ValueError):
+        bp.WalkPolicy(**bad)
+
+
+def test_walk_policy_defaults_unchanged():
+    policy = bp.WalkPolicy()
+    assert (policy.c1, policy.m, policy.hard_cap_factor) == (4.0, 50, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # survival MC vs the DP oracle
 

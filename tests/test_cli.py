@@ -212,6 +212,21 @@ def test_negative_seed_is_config_error_exit_2(argv, capsys):
     assert err.startswith("error:") and "[0, 2**64)" in err
 
 
+@pytest.mark.parametrize("sweep", ["seed-edge-sweep", "susceptibility-sweep"])
+def test_zero_trial_sweep_is_config_error_exit_2(sweep, capsys):
+    argv = ["gnp", sweep, "--n", "40", "--alphas", "1.0", "--trials", "0",
+            "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
+
+def test_bp_survive_rejects_policy_without_certificate(capsys):
+    argv = ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "100",
+            "--m", "0", "--c1", "0", "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: c1 must be")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -5,7 +5,8 @@ the file it writes with a pinned hash.  The cases cover every G(n,p)
 estimator in CSV and JSON (including the seed-policy "all" paths, alpha
 lists given out of order and one pki case at n = 10^5), branching-process
 survival for one eps, for a sweep and with walks ending at the hard cap, the
-hitting MC at r = 2 and r = 3, and a count table.
+hitting MC at r = 2 and r = 3, count tables of all three variants, and the
+inequality verifier on the --fast grid and on the default grid.
 A refactor that keeps every RNG draw in order and every formatter
 unchanged keeps these hashes; any change to output bytes shows here.
 """
@@ -96,6 +97,30 @@ GOLDEN = {
     "counts-table": (
         ["counts", "table", "--r", "2", "--k-max", "30"],
         "7914ad41ef4fd70da07fa8596b3b44a606d8f45a85809693bb37ad78639ca6b4",
+    ),
+    "counts-table-r4": (
+        ["counts", "table", "--r", "4", "--k-max", "60"],
+        "4cdd5b06c86c28ea1b885f44894f90ad863c5c4c815a12234b05a30a9a30a07a",
+    ),
+    "counts-table-triangle-free": (
+        ["counts", "table", "--r", "3", "--k-max", "40", "--variant",
+         "triangle_free_lower"],
+        "4c86fd646ad6afa636cd63b665210d4e15c46f3d40a7ddf98b125b3ff1a6748f",
+    ),
+    "counts-table-level-bounded": (
+        ["counts", "table", "--r", "3", "--k-max", "40", "--variant",
+         "triangle_free_lower_level_bounded", "--level-bound", "6"],
+        "4eb2280eacabb611575d22341ae78f991dd88f008378a3edafd0ce165e60a2f7",
+    ),
+    "thresholds-verify-fast": (
+        ["thresholds", "verify", "--r", "2", "3", "4", "--fast"],
+        "c2f3b8ba08074bb6d4011fa7cc4e944f0fa708f6c91486f89aad22fe7c248212",
+    ),
+    # default grid: the array-screened claims at full size
+    "thresholds-verify-r2-default-grid": (
+        ["thresholds", "verify", "--r", "2", "--claims",
+         "small_beta_domination", "penalized_min", "mu_eps_gamma_concavity"],
+        "002d029eb3e9f4a7065a178d3401c17453edb45fb6478d4594eb98a1204b5f73",
     ),
 }
 

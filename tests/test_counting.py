@@ -12,8 +12,12 @@ from itertools import combinations
 from math import comb, exp, factorial, isclose, lgamma, log
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import count_oracle
 from bootperc.counting import (
+    VARIANTS,
     A_entry,
     CountTable,
     EnumerationCapExceeded,
@@ -361,3 +365,46 @@ def test_table_variant_validation():
         build_count_table(1, 6)
     with pytest.raises(ValueError):
         build_count_table(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the x-major table and the bisecting Lambda(i) locator
+# against the straightforward versions in count_oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(2, 5),
+    k_max=st.integers(3, 60),
+    variant=st.sampled_from(VARIANTS),
+    ell_extra=st.integers(0, 30),
+    budget_share=st.floats(0.0, 1.2),
+)
+def test_table_matches_k_major_oracle(r, k_max, variant, ell_extra, budget_share):
+    k_max = max(k_max, r + 1)
+    level_bound = (r + ell_extra
+                   if variant == "triangle_free_lower_level_bounded" else None)
+    got = build_count_table(r, k_max, variant, level_bound)
+    want = count_oracle.build_count_table(r, k_max, variant, level_bound)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert (got.r, got.k_max, got.variant, got.level_bound) == (
+        want.r, want.k_max, want.variant, want.level_bound)
+
+    total = sum(v.__sizeof__() for v in want.entries.values())
+    for budget in (total - 1, total, int(budget_share * total)):
+        raised = []
+        for build in (build_count_table, count_oracle.build_count_table):
+            try:
+                build(r, k_max, variant, level_bound, memory_budget=budget)
+                raised.append(False)
+            except TableBudgetExceeded:
+                raised.append(True)
+        assert raised[0] == raised[1] == (budget < total), budget
+
+
+@settings(max_examples=12, deadline=None)
+@given(i=st.integers(1, 500))
+@example(i=1)
+@example(i=500)
+def test_lambda_weight_sum_log_matches_resumming_oracle(i):
+    assert lambda_weight_sum_log(i) == count_oracle.lambda_weight_sum_log(i)

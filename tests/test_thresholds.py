@@ -13,8 +13,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grid_oracle
 from bootperc import thresholds as th
 
 
@@ -372,3 +376,153 @@ def test_report_json_round_trip():
     text = th.report_to_json(report)
     back = json.loads(text)
     assert back == report
+
+
+# ---------------------------------------------------------------------------
+# the array screen against the point-by-point checkers in grid_oracle
+
+SCREENED = sorted(grid_oracle.CHECKERS)
+
+
+def _oracle_report(r_set, grid):
+    report = {"r_set": list(r_set), "claims": []}
+    for cid in SCREENED:
+        size, violations = grid_oracle.CHECKERS[cid](r_set, grid)
+        report["claims"].append(
+            {"claim_id": cid, "grid_size": size, "violations": violations})
+    return report
+
+
+def _screened_report(r_set, grid):
+    return th.verify_inequalities(r_set=r_set, grid=grid, claims=SCREENED)
+
+
+@st.composite
+def grid_specs(draw):
+    def span(lo, hi):
+        a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+        return min(a, b), max(a, b)
+
+    alpha_lo, alpha_hi = span(0.2, 2.0)
+    beta_lo, beta_hi = span(0.01, 3.0)
+    gamma_lo, gamma_hi = span(0.001, 0.999)
+    return th.GridSpec(
+        alpha_points=draw(st.integers(1, 4)), alpha_lo=alpha_lo,
+        alpha_hi=alpha_hi,
+        beta_points=draw(st.integers(0, 12)), beta_lo=beta_lo,
+        beta_hi=beta_hi,
+        gamma_points=draw(st.integers(0, 10)), gamma_lo=gamma_lo,
+        gamma_hi=gamma_hi,
+        eps_points=draw(st.integers(0, 4)), eps_lo=draw(st.floats(0.001, 0.2)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r_set=st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True),
+    grid=grid_specs(),
+)
+def test_screened_claims_match_pointwise_oracle(r_set, grid):
+    assert _screened_report(r_set, grid) == _oracle_report(r_set, grid)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"alpha_lo": -0.5},
+        {"alpha_lo": 0.0, "alpha_points": 1},
+        {"beta_lo": -0.1},
+        {"beta_lo": 0.0},
+        {"gamma_lo": 0.0},
+        {"gamma_hi": 1.0},
+        {"gamma_lo": -0.2},
+        {"eps_lo": 0.0},
+        {"eps_lo": -0.05, "eps_points": 1},
+    ],
+)
+def test_screened_claims_reject_what_the_scalar_path_rejects(bad):
+    sizes = {"alpha_points": 2, "beta_points": 5, "gamma_points": 4,
+             "eps_points": 2}
+    grid = th.GridSpec(**{**sizes, **bad})
+    for cid in SCREENED:
+        outcomes = []
+        for run in (
+            lambda: th.verify_inequalities(r_set=(2, 3), grid=grid,
+                                           claims=[cid])["claims"][0],
+            lambda: dict(zip(("grid_size", "violations"),
+                             grid_oracle.CHECKERS[cid]((2, 3), grid))),
+        ):
+            try:
+                claim = run()
+                outcomes.append((claim["grid_size"], claim["violations"]))
+            except ValueError as exc:
+                outcomes.append(("ValueError", str(exc)))
+        assert outcomes[0] == outcomes[1], cid
+
+
+def _jittered(fn):
+    """fn with its values moved by 1e-10 of their term scale, alternating
+    up and down: array rounding ten times worse than it is, still well
+    inside the screen's band."""
+    def wrapped(*args):
+        val, scale = fn(*args)
+        val = np.broadcast_to(val, np.broadcast(val, scale).shape)
+        sign = np.where(np.arange(val.size).reshape(val.shape) % 2, 1.0, -1.0)
+        return val + sign * 1e-10 * scale, scale
+    return wrapped
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Plant violations into all three claims, some by a single ulp.
+
+    SLACK goes to 0 and mu_star, the bound of both mu claims, to one ulp
+    below the largest value it is compared with: for small_beta_domination
+    the largest mu along the row's gammas, for penalized_min (which asks for
+    mu_star at beta_r) the largest min(mu, mu_bar) of the slice.  mu_eps
+    gets a convex term K gamma^2 in both its scalar and array forms, which
+    makes some second differences non-negative.  The array forms are
+    jittered on top, so a screen without its band misses the one-ulp
+    violations."""
+    grid = th.GridSpec(alpha_points=3, beta_points=12, gamma_points=9,
+                       eps_points=3)
+    gammas = grid.gammas()
+    mu, mu_bar, beta_r = th.mu, th.mu_bar, th.beta_r
+    mu_eps, mu_eps_array = th.mu_eps, th._mu_eps_array
+    bend = 0.8
+
+    def just_below(values):
+        return math.nextafter(max(values), -math.inf)
+
+    def planted_mu_star(r, alpha, beta):
+        b_r = beta_r(r, alpha)
+        if beta != b_r:
+            return just_below(mu(r, alpha, beta, g) for g in gammas)
+        return just_below(
+            min(mu(r, alpha, b, g), mu_bar(r, alpha, b, g))
+            if b_r - b > 1e-12 else mu(r, alpha, b, g)
+            for b in grid.betas(r, alpha) if not b > b_r for g in gammas
+        )
+
+    def planted_mu_eps_array(r, eps, alpha, beta, gamma):
+        val, scale = mu_eps_array(r, eps, alpha, beta, gamma)
+        return val + bend * gamma**2, scale + bend * gamma**2
+
+    monkeypatch.setattr(th, "SLACK", 0.0)
+    monkeypatch.setattr(th, "mu_star", planted_mu_star)
+    monkeypatch.setattr(
+        th, "mu_eps", lambda r, e, a, b, g: mu_eps(r, e, a, b, g) + bend * g**2)
+    monkeypatch.setattr(th, "_mu_eps_array", _jittered(planted_mu_eps_array))
+    monkeypatch.setattr(th, "_mu_array", _jittered(th._mu_array))
+    monkeypatch.setattr(th, "_mu_bar_penalty_array",
+                        _jittered(th._mu_bar_penalty_array))
+    return grid
+
+
+def test_planted_violations_match_pointwise_oracle(planted):
+    got = _screened_report((2, 3), planted)
+    want = _oracle_report((2, 3), planted)
+    for claim in want["claims"]:
+        # the plant took: every claim has violations, and points that hold
+        assert 0 < len(claim["violations"]) < claim["grid_size"], claim["claim_id"]
+    assert got == want
