@@ -1,8 +1,9 @@
 """Bootstrap percolation on Erdos-Renyi graphs.
 
-Exact counting of minimally susceptible graphs, percolation engines,
-sharp-threshold functions, branching-process approximations, spectral
-analysis of the counting recursion, and G(n, p) Monte Carlo experiments.
+Exact counting of minimally susceptible graphs, CSR graphs and the K_k
+graph bootstrap, sharp-threshold functions, branching-process
+approximations, spectral analysis of the counting recursion, and G(n, p)
+Monte Carlo experiments on one r-neighbour percolation kernel.
 """
 
 from . import branching, counting, engine, experiments, spectral, thresholds

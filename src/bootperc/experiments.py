@@ -587,7 +587,6 @@ def susceptibility_sweep(
     alpha_list,
     trials: int,
     rng_seed: int,
-    seed_policy: str = "all",
     workers: int = 0,
 ) -> list[SusceptibilityPoint]:
     """Exhaustive 2-susceptibility and max-spread statistics per alpha.
@@ -598,7 +597,7 @@ def susceptibility_sweep(
     spreads are reported normalized by log n and compared against
     beta_star(alpha) + 1 (finite-size slack of one growth unit).
     """
-    if r != 2 or seed_policy != "all":
+    if r != 2:
         raise ValueError("only the exhaustive r=2 sweep is implemented")
     if n > SUSCEPTIBILITY_N_CAP:
         raise ValueError(f"exhaustive susceptibility capped at n <= {SUSCEPTIBILITY_N_CAP}")

@@ -1,4 +1,6 @@
-"""Engine tests: percolation traces, susceptibility, closures, witnesses."""
+"""Graph, wedge-pair and K_k closure tests, and the tests of the bitset
+oracle (percolation traces, spanning-set and seed searches, witnesses) that
+the peeling kernel and the seed searches are checked against."""
 
 import io
 from itertools import combinations
@@ -14,18 +16,18 @@ from bootperc import engine
 from bootperc.counting import iter_minimally_susceptible
 from bootperc.engine import (
     Graph,
-    PercolationTrace,
-    SeedSearchCapExceeded,
-    bootstrap,
     graph_bootstrap_closure,
-    has_contagious_subset,
-    has_seed,
-    hat_bootstrap,
     is_complete,
-    is_susceptible,
     read_graph,
     wedge_pairs,
     write_graph,
+)
+from engine_oracle import (
+    bootstrap,
+    closure_edges,
+    has_seed,
+    hat_bootstrap,
+    spanning_set,
 )
 
 # 5-vertex running example: seed {0,1} infects 2, then 3, then 4.
@@ -134,15 +136,12 @@ def test_monotonicity_in_edges():
 
 
 def test_is_susceptible_basic():
-    assert is_susceptible(complete_graph(5), 3).status == "yes"
-    res = is_susceptible(Graph(5, []), 2)
-    assert res.status == "no" and res.witness is None
-    res5 = is_susceptible(Graph(5, EX5_EDGES), 2)
-    assert res5.status == "yes"
-    assert res5.witness == (0, 1)
+    assert spanning_set(complete_graph(5), 3) is not None
+    assert spanning_set(Graph(5, []), 2) is None
+    assert spanning_set(Graph(5, EX5_EDGES), 2) == (0, 1)
     # whole graph as seed
-    assert is_susceptible(Graph(2, []), 2).status == "yes"
-    assert is_susceptible(Graph(1, []), 2).status == "no"
+    assert spanning_set(Graph(2, []), 2) == (0, 1)
+    assert spanning_set(Graph(1, []), 2) is None
 
 
 def test_is_susceptible_matches_brute_force():
@@ -157,10 +156,10 @@ def test_is_susceptible_matches_brute_force():
                 len(bootstrap(g, s, r).final) == n
                 for s in combinations(range(n), r)
             )
-            got = is_susceptible(g, r)
-            assert (got.status == "yes") == want
+            got = spanning_set(g, r)
+            assert (got is not None) == want
             if want:
-                assert len(bootstrap(g, got.witness, r).final) == n
+                assert len(bootstrap(g, got, r).final) == n
 
 
 def _wedge_pairs_reference(graph):
@@ -240,24 +239,6 @@ def test_wedge_pairs_chunks_double_up_to_the_cap():
     assert sizes == [5, 2, 5, 1, 5, 4, 5, 1] and sum(sizes) == comb(8, 2)
 
 
-def test_is_susceptible_sampled():
-    g = complete_graph(6)
-    res = is_susceptible(g, 2, strategy="sampled", m=5, rng_seed=1)
-    assert res.status == "yes"
-    hard = Graph(6, [(0, 1)])
-    assert is_susceptible(hard, 2, strategy="sampled", m=20, rng_seed=1).status == "unknown"
-    # determinism
-    a = is_susceptible(g, 2, strategy="sampled", m=5, rng_seed=42)
-    b = is_susceptible(g, 2, strategy="sampled", m=5, rng_seed=42)
-    assert a == b
-
-
-def test_is_susceptible_cap():
-    g = complete_graph(30)
-    with pytest.raises(SeedSearchCapExceeded, match="100"):
-        is_susceptible(g, 3, cap=100)
-
-
 def test_has_seed():
     assert has_seed(complete_graph(4), 2) == (0, 1)
     path = Graph(6, [(i, i + 1) for i in range(5)])
@@ -266,26 +247,6 @@ def test_has_seed():
     assert has_seed(g, 2) == (0, 1)
     # without the seed edge {0,1} there is no contagious clique
     assert has_seed(Graph(5, EX5_EDGES), 2) is None
-
-
-def test_has_contagious_subset():
-    g = Graph(5, EX5_EDGES + [(0, 1)])
-    assert has_contagious_subset(g, 2, min_edges=1) == (0, 1)
-    # with min_edges=0 this is plain susceptibility
-    g2 = Graph(5, EX5_EDGES)
-    assert has_contagious_subset(g2, 2, min_edges=0) == (0, 1)
-    assert has_contagious_subset(g2, 2, min_edges=1) is None
-    assert has_contagious_subset(complete_graph(5), 3, min_edges=3) == (0, 1, 2)
-
-
-def test_has_contagious_subset_matches_has_seed():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        g = random_gnp(7, 0.5, rng)
-        for r in (2, 3):
-            a = has_seed(g, r)
-            b = has_contagious_subset(g, r, min_edges=comb(r, 2))
-            assert a == b
 
 
 def test_closure_k3_connected():
@@ -354,6 +315,20 @@ def test_seed_implies_complete_closure():
 def test_closure_validation():
     with pytest.raises(ValueError):
         graph_bootstrap_closure(complete_graph(3), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 10),
+    k=st.sampled_from([3, 4, 5]),
+    density=st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_matches_naive_fixpoint(n, k, density, graph_seed):
+    # the worklist re-queues only pairs an added edge can affect; sweeping
+    # every missing pair until nothing changes must reach the same closure
+    g = random_gnp(n, density, np.random.default_rng(graph_seed))
+    assert set(graph_bootstrap_closure(g, k).edges()) == closure_edges(g, k)
 
 
 def test_hat_bootstrap_triangle_free_input():
@@ -465,16 +440,6 @@ def test_graph_io_round_trip():
     import json
 
     assert json.loads(first_line) == {"n": 5, "edges": 6}
-
-
-def test_trace_json_round_trip():
-    g = Graph(5, EX5_EDGES)
-    trace = bootstrap(g, (0, 1), 2)
-    back = PercolationTrace.from_json(trace.to_json())
-    assert back == trace
-    hat = hat_bootstrap(g, (0, 1), 2)
-    back_hat = PercolationTrace.from_json(hat.to_json())
-    assert back_hat == hat
 
 
 def test_from_arrays_matches_list_construction():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from bootperc import experiments as X
 from bootperc.branching import trial_rng
 from bootperc.counting import TableBudgetExceeded
-from bootperc.engine import Graph, bootstrap, wedge_pairs
+from bootperc.engine import Graph, wedge_pairs
 from bootperc.thresholds import critical_alpha, theta
+from engine_oracle import bit_masks, bootstrap, has_seed
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def test_marked_sample_coupling_is_monotone():
 
 
 def _profile(trace):
-    """(|V_t|, |I_t|) per level of an engine.bootstrap trace."""
+    """(|V_t|, |I_t|) per level of an engine_oracle.bootstrap trace."""
     cum, out = 0, []
     for level in trace.levels:
         cum += len(level)
@@ -143,7 +145,7 @@ def _profile(trace):
     ),
 )
 def test_kernel_matches_engine_bootstrap(n, p, graph_seed, r, seed_draws):
-    # the bitset engine is the oracle; every seed runs on one kernel, so
+    # the bitset oracle decides; every seed runs on one kernel, so
     # stamps left by earlier runs must not leak into later ones
     g = X.sample_gnp(n, p, graph_seed)
     kern = X.PeelingKernel(g)
@@ -383,6 +385,38 @@ def test_seed_edge_detector_matches_brute_force():
         assert got == want
 
 
+@st.composite
+def _small_gnp(draw):
+    """G(n, p) with 3 <= n <= 30 (the sweeps reject n < 3) and p from
+    sparse to dense, so that spanning and non-spanning graphs both come up."""
+    n = draw(st.integers(3, 30))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.45, 0.7]))
+    return X.sample_gnp(n, p, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_small_gnp())
+def test_susceptibility_probe_matches_oracle(g):
+    # every pair, not only the wedge pairs the probe takes: a pair outside
+    # them must stop at size 2, or the largest spread would differ
+    masks = bit_masks(g)
+    sizes = [
+        len(bootstrap(g, pair, 2, masks).final)
+        for pair in itertools.combinations(range(g.n), 2)
+    ]
+    if g.n in sizes:
+        assert X._susceptibility_probe(g) == (True, g.n)
+    else:
+        assert X._susceptibility_probe(g) == (False, max([2] + sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_small_gnp(), top_k=st.sampled_from([1, 2, 64]))
+def test_has_seed_edge_matches_oracle(g, top_k):
+    want = has_seed(g, 2) is not None
+    assert X._has_seed_edge(g, X.PeelingKernel(g), top_k) == want
+
+
 def test_seed_edge_sweep_separates_and_is_monotone():
     pts = X.seed_edge_sweep(300, [0.02, 3.0], trials=12, rng_seed=5)
     assert [p.alpha for p in pts] == [0.02, 3.0]
@@ -452,8 +486,6 @@ def test_susceptibility_sweep_validation():
     with pytest.raises(ValueError):
         X.susceptibility_sweep(300, 3, [1.0], trials=2, rng_seed=0)
     with pytest.raises(ValueError):
-        X.susceptibility_sweep(300, 2, [1.0], trials=2, rng_seed=0, seed_policy="random")
-    with pytest.raises(ValueError):
         X.susceptibility_sweep(5000, 2, [1.0], trials=2, rng_seed=0)
     with pytest.raises(ValueError):
         X.susceptibility_sweep(300, 2, [], trials=2, rng_seed=0)
@@ -471,8 +503,6 @@ def test_susceptibility_candidates_are_wedge_pairs():
     # any pair outside the candidate set has no common neighbor, so its
     # 2-bootstrap spread stops at size 2
     kern = X.PeelingKernel(g)
-    import itertools
-
     for u, v in itertools.islice(
         ((a, b) for a in range(40) for b in range(a + 1, 40) if (a, b) not in cands),
         30,
