@@ -205,7 +205,8 @@ def build_count_table(
 
     variant "exact" uses a_r, the triangle-free variants use hat_a_r; the
     level-bounded variant restricts both the stored top-level sizes and the
-    summation index j to level_bound.  Exact integer arithmetic throughout.
+    summation index j to level_bound, which the other variants reject.
+    Exact integer arithmetic throughout.
     Raises TableBudgetExceeded if the stored integers outgrow memory_budget;
     the stored total only grows, so whether it raises depends on the final
     total alone, and the cell it names is the one filled when it crossed.
@@ -220,8 +221,8 @@ def build_count_table(
     if bounded:
         if level_bound is None or level_bound < r:
             raise ValueError("level-bounded variant needs level_bound >= r")
-    else:
-        level_bound = None
+    elif level_bound is not None:
+        raise ValueError(f"level_bound is not used by the {variant!r} variant")
     count_fn = a_count if variant == "exact" else hat_a_count
     cap = level_bound if bounded else k_max
 
@@ -409,6 +410,8 @@ def normalized(
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "rho_hat" and eps is not None and eps <= 0:
         raise ValueError("eps must be positive when given")
+    if not (r < k and 1 <= i <= k - r):
+        raise ValueError(f"need r < k and 1 <= i <= k - r, got r={r}, k={k}, i={i}")
     if table is None:
         variant = "exact" if kind == "sigma" else "triangle_free_lower"
         table = build_count_table(r, k, variant=variant)

@@ -13,9 +13,10 @@ so a graph serves many seeds without O(n) clearing.
 Two trial functions carry every estimate: _seeded_trial samples one graph,
 draws its seeds and returns each seed's level profile, for the (k, i)
 visit and terminal frequencies; _marked_trial samples one marked graph and
-runs a probe at each alpha of a sweep, for the seed-edge and
-susceptibility sweeps.  r = 2 seed searches take their candidates from
-engine.wedge_pairs.
+runs the one r = 2 search, _spanning_pair, at each alpha of a sweep.  The
+two sweeps differ only in its candidate source: the susceptibility sweep
+probes every engine.wedge_pairs pair, the seed-edge sweep only those that
+are edges (_triangle_edges).
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
@@ -412,15 +413,52 @@ def terminal_set_frequency(
 # marked sweeps (r = 2)
 
 
-def _marked_trial(args) -> list:
-    """Probe outcomes of one marked G(n, p_max) sample at each p in ps.
+def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
+    """(whether some candidate pair percolates the whole graph, the largest
+    spread seen), probing each new pair a < b from chunks of arrays (a, b)
+    until one spans.  The largest spread is at least 2, the size of any
+    pair, even when there is no candidate."""
+    n = graph.n
+    kernel = PeelingKernel(graph)
+    probed = set()
+    max_spread = 2
+    for pa, pb in chunks:
+        for seed in zip(pa.tolist(), pb.tolist()):
+            if seed in probed:
+                continue
+            probed.add(seed)
+            levels, _ = kernel.run(seed, 2, k_stop=None)
+            size = levels[-1][0]
+            if size == n:
+                return True, n
+            max_spread = max(max_spread, size)
+    return False, max_spread
 
-    A probe maps a graph to a tuple whose first item says whether it
-    succeeded.  Success is monotone under the mark coupling: the graph at a
-    larger p keeps every edge of the smaller one, so the probe succeeds
-    there with the same outcome, and those graphs are not built.
+
+def _triangle_edges(graph: Graph):
+    """The edges lying in triangles, as engine.wedge_pairs chunks filtered to
+    edges: a seed edge needs a common neighbor for its first round."""
+    n = graph.n
+    us = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    mask = us < graph.indices
+    ekeys = us[mask] * n + graph.indices[mask]  # sorted: rows hold sorted columns
+    for pa, pb in wedge_pairs(graph):
+        keys = pa * n + pb
+        pos = np.searchsorted(ekeys, keys)
+        ok = pos < ekeys.shape[0]
+        ok[ok] = ekeys[pos[ok]] == keys[ok]
+        yield pa[ok], pb[ok]
+
+
+def _marked_trial(args) -> list:
+    """_spanning_pair outcomes of one marked G(n, p_max) sample at each p
+    in ps, over the pairs that candidates(graph) yields.
+
+    Spanning is monotone under the mark coupling: the graph at a larger p
+    keeps every edge of the smaller one, so a spanning pair spans there
+    too with the same outcome (True, n), and those graphs are not built.
     """
-    probe, n, ps, rng_seed, trial_index = args
+    candidates, n, ps, rng_seed, trial_index = args
     u, v, marks = sample_gnp_marked(n, ps[-1], trial_rng(rng_seed, trial_index))
     outcomes = []
     for p in ps:
@@ -428,90 +466,30 @@ def _marked_trial(args) -> list:
             outcomes.append(outcomes[-1])
         else:
             keep = marks < p
-            outcomes.append(probe(Graph.from_arrays(n, u[keep], v[keep])))
+            graph = Graph.from_arrays(n, u[keep], v[keep])
+            outcomes.append(_spanning_pair(graph, candidates(graph)))
     return outcomes
 
 
-def _marked_sweep(probe, n: int, alpha_list, trials: int, rng_seed: int, workers: int):
-    """Sorted alphas, their p = theta_2(alpha, n), and per alpha the probe
-    outcomes of every trial.  probe must be a module-level function, so
-    that worker processes can unpickle it."""
+def _marked_sweep(
+    candidates, n: int, alpha_list, trials: int, rng_seed: int, workers: int
+):
+    """Sorted alphas, their p = theta_2(alpha, n), and per alpha the
+    _marked_trial outcomes of every trial.  candidates must be a
+    module-level function, so that worker processes can unpickle it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     alphas = sorted(float(a) for a in alpha_list)
     if not alphas:
         raise ValueError("alpha_list must be nonempty")
     ps = [theta(2, a, n) for a in alphas]
-    argses = [(probe, n, ps, rng_seed, t) for t in range(trials)]
+    argses = [(candidates, n, ps, rng_seed, t) for t in range(trials)]
     results = list(_map_trials(_marked_trial, argses, workers))
     return alphas, ps, [[out[j] for out in results] for j in range(len(ps))]
 
 
 # ---------------------------------------------------------------------------
 # seed-edge sweep
-
-
-def _has_seed_edge(graph: Graph, kernel: PeelingKernel, top_k: int = 64) -> bool:
-    """Whether some edge percolates the whole graph under 2-bootstrap.
-
-    A seed edge needs a common neighbor for its first round, so candidates
-    are exactly the edges lying in triangles.  High degree-sum edges are
-    probed first; the exhaustive fallback then probes every other triangle
-    edge, in engine.wedge_pairs order.
-    """
-    n = graph.n
-    if n < 3 or graph.m == 0:
-        return False
-    indptr, indices = graph.indptr, graph.indices
-    deg = np.diff(indptr)
-
-    us = np.repeat(np.arange(n, dtype=np.int64), deg)
-    mask = us < indices
-    eu, ev = us[mask], indices[mask]
-    if eu.shape[0] == 0:
-        return False
-
-    def percolates(a, b):
-        levels, _ = kernel.run((int(a), int(b)), 2, k_stop=None)
-        return levels[-1][0] == n
-
-    def common_count(a, b):
-        return np.intersect1d(
-            indices[indptr[a] : indptr[a + 1]],
-            indices[indptr[b] : indptr[b + 1]],
-            assume_unique=True,
-        ).shape[0]
-
-    score = deg[eu] + deg[ev]
-    if eu.shape[0] > top_k:
-        cand = np.argpartition(score, -top_k)[-top_k:]
-    else:
-        cand = np.arange(eu.shape[0])
-    cand = cand[np.argsort(-score[cand], kind="stable")]
-    for e in cand:
-        a, b = eu[e], ev[e]
-        if common_count(a, b) > 0 and percolates(a, b):
-            return True
-
-    # exhaustive fallback: triangle edges are the wedge pairs that are
-    # themselves edges; filter each chunk against the sorted linear edge keys
-    ekeys = eu * n + ev
-    probed = set((int(eu[e]), int(ev[e])) for e in cand)
-    for pa, pb in wedge_pairs(graph):
-        keys = pa * n + pb
-        pos = np.searchsorted(ekeys, keys)
-        ok = pos < ekeys.shape[0]
-        ok[ok] = ekeys[pos[ok]] == keys[ok]
-        for pair in zip(pa[ok].tolist(), pb[ok].tolist()):
-            if pair not in probed:
-                probed.add(pair)
-                if percolates(*pair):
-                    return True
-    return False
-
-
-def _seed_edge_probe(graph: Graph) -> tuple[bool]:
-    return (_has_seed_edge(graph, PeelingKernel(graph)),)
 
 
 @dataclass
@@ -533,11 +511,11 @@ def seed_edge_sweep(
     short-circuits the rest.
     """
     alphas, ps, outcomes = _marked_sweep(
-        _seed_edge_probe, n, alpha_list, trials, rng_seed, workers
+        _triangle_edges, n, alpha_list, trials, rng_seed, workers
     )
     points = []
     for a, p, col in zip(alphas, ps, outcomes):
-        f = sum(hit for (hit,) in col) / trials
+        f = sum(hit for hit, _ in col) / trials
         points.append(
             SeedEdgePoint(a, p, trials, f, math.sqrt(f * (1 - f) / trials))
         )
@@ -546,26 +524,6 @@ def seed_edge_sweep(
 
 # ---------------------------------------------------------------------------
 # susceptibility sweep (r = 2 exhaustive)
-
-
-def _susceptibility_probe(graph: Graph) -> tuple[bool, int]:
-    """(whether some pair percolates, the largest spread seen), probing each
-    wedge pair once until one percolates; any other pair stops at size 2."""
-    n = graph.n
-    kernel = PeelingKernel(graph)
-    probed = set()
-    max_spread = 2
-    for pa, pb in wedge_pairs(graph):
-        for seed in zip(pa.tolist(), pb.tolist()):
-            if seed in probed:
-                continue
-            probed.add(seed)
-            levels, _ = kernel.run(seed, 2, k_stop=None)
-            size = levels[-1][0]
-            if size == n:
-                return True, n
-            max_spread = max(max_spread, size)
-    return False, max_spread
 
 
 @dataclass
@@ -602,7 +560,7 @@ def susceptibility_sweep(
     if n > SUSCEPTIBILITY_N_CAP:
         raise ValueError(f"exhaustive susceptibility capped at n <= {SUSCEPTIBILITY_N_CAP}")
     alphas, ps, outcomes = _marked_sweep(
-        _susceptibility_probe, n, alpha_list, trials, rng_seed, workers
+        wedge_pairs, n, alpha_list, trials, rng_seed, workers
     )
     logn = math.log(n)
     points = []

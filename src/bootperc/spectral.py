@@ -162,6 +162,11 @@ class PerronResult(NamedTuple):
     iterations: int
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def perron(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000) -> PerronResult:
     """Dominant eigenvalue and unit-sum eigenvector of a nonnegative matrix.
 
@@ -175,6 +180,7 @@ def perron(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000) -> Perron
     strictly positive, the Collatz-Wielandt bounds agree to 100*tol
     relatively.
     """
+    _check_tol(tol)
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("perron expects a square matrix")
@@ -232,6 +238,7 @@ def dlambda_report(r: int, ell: int, tol: float = 1e-10) -> dict:
     unique; the returned lambda satisfies |rho(D_lambda A) - 1| < tol.
     """
     _validate_r_ell(r, ell)
+    _check_tol(tol)
     log_A = build_A_log(r, ell)
     inner_tol = min(1e-13, tol * 1e-3)
     inner_total = 0

@@ -58,6 +58,20 @@ def test_counts_normalized_record(capsys):
     assert rec["kind"] == "sigma" and rec["k"] == 6 and rec["i"] == 2
 
 
+@pytest.mark.parametrize("i", ["5", "0"])
+def test_counts_normalized_outside_the_table_exits_2(i, capsys):
+    assert main(["counts", "normalized", "--r", "2", "--k", "6", "--i", i]) == 2
+    assert capsys.readouterr().err.startswith("error: need r < k and 1 <= i")
+
+
+def test_counts_table_level_bound_needs_level_bounded_variant(capsys):
+    argv = ["counts", "table", "--r", "2", "--k-max", "5", "--level-bound", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level_bound is not used")
+
+
 def test_bp_survive_single_json(capsys):
     assert (
         main(
@@ -113,6 +127,14 @@ def test_spectral_lambda_methods_agree(capsys):
     dla = json.loads(capsys.readouterr().out)
     assert set(psi) == {"r", "ell", "lambda", "iterations"}
     assert psi["lambda"] == pytest.approx(dla["lambda"], abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+def test_spectral_dlambda_rejects_bad_tol_at_once(tol, capsys):
+    argv = ["spectral", "lambda", "--r", "2", "--ell", "40", "--method",
+            "dlambda", f"--tol={tol}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be finite and > 0")
 
 
 def test_gnp_sample_round_trip(tmp_path):

@@ -303,6 +303,12 @@ def test_normalized_builds_own_table():
                    rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("k, i", [(6, 5), (6, 0), (2, 1), (6, -1)])
+def test_normalized_rejects_keys_outside_the_table(k, i):
+    with pytest.raises(ValueError, match="1 <= i <= k - r"):
+        normalized(2, k, i)
+
+
 def test_normalized_json_record():
     rec = normalized(2, 6, 2)
     import json
@@ -361,6 +367,9 @@ def test_table_variant_validation():
         build_count_table(2, 6, variant="bogus")
     with pytest.raises(ValueError):
         build_count_table(2, 6, variant="triangle_free_lower_level_bounded")
+    for variant in ("exact", "triangle_free_lower"):
+        with pytest.raises(ValueError, match="level_bound"):
+            build_count_table(2, 6, variant=variant, level_bound=3)
     with pytest.raises(ValueError):
         build_count_table(1, 6)
     with pytest.raises(ValueError):

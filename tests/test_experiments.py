@@ -369,8 +369,7 @@ def test_seed_edge_detector_matches_brute_force():
         n = int(rng.integers(4, 26))
         p = float(rng.uniform(0.05, 0.6))
         g = X.sample_gnp(n, p, 5000 + t)
-        kern = X.PeelingKernel(g)
-        got = X._has_seed_edge(g, kern, top_k=2)
+        got = X._spanning_pair(g, X._triangle_edges(g))[0]
         want = False
         for a in range(n):
             for b in g.neighbors(a):
@@ -404,17 +403,33 @@ def test_susceptibility_probe_matches_oracle(g):
         len(bootstrap(g, pair, 2, masks).final)
         for pair in itertools.combinations(range(g.n), 2)
     ]
+    got = X._spanning_pair(g, wedge_pairs(g))
     if g.n in sizes:
-        assert X._susceptibility_probe(g) == (True, g.n)
+        assert got == (True, g.n)
     else:
-        assert X._susceptibility_probe(g) == (False, max([2] + sizes))
+        assert got == (False, max([2] + sizes))
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=_small_gnp(), top_k=st.sampled_from([1, 2, 64]))
-def test_has_seed_edge_matches_oracle(g, top_k):
+@given(g=_small_gnp())
+def test_has_seed_edge_matches_oracle(g):
     want = has_seed(g, 2) is not None
-    assert X._has_seed_edge(g, X.PeelingKernel(g), top_k) == want
+    assert X._spanning_pair(g, X._triangle_edges(g))[0] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(50, 150),
+    alpha=st.floats(1.0, 3.0),
+    graph_seed=st.integers(0, 2**32 - 1),
+)
+def test_seed_edge_search_matches_oracle_near_threshold(n, alpha, graph_seed):
+    # The n <= 30 tests above miss prunings of this search that are unsound
+    # only on larger graphs: one agreed with the oracle on every graph with
+    # n <= 30 and first disagreed at n = 50..110 near alpha = 2.
+    g = X.sample_gnp(n, theta(2, alpha, n), graph_seed)
+    want = has_seed(g, 2) is not None
+    assert X._spanning_pair(g, X._triangle_edges(g))[0] == want
 
 
 def test_seed_edge_sweep_separates_and_is_monotone():
@@ -434,26 +449,26 @@ def test_seed_edge_sweep_coupled_outcomes_monotone_per_trial():
     alphas = [0.1, 0.5, 2.0, 6.0]
     ps = [theta(2, a, n) for a in alphas]
     for t in range(10):
-        out = [hit for (hit,) in X._marked_trial((X._seed_edge_probe, n, ps, 77, t))]
-        assert out == sorted(out)
+        trial = X._marked_trial((X._triangle_edges, n, ps, 77, t))
+        hits = [hit for hit, _ in trial]
+        assert hits == sorted(hits)
 
 
 @pytest.mark.parametrize(
-    "probe, n, alphas",
+    "candidates, n, alphas",
     [
-        (X._seed_edge_probe, 120, [0.1, 0.5, 2.0, 6.0]),
-        (X._susceptibility_probe, 40, [0.0125, 0.5, 2.0, 6.0]),
+        (X._triangle_edges, 120, [0.1, 0.5, 2.0, 6.0]),
+        (wedge_pairs, 40, [0.0125, 0.5, 2.0, 6.0]),
     ],
 )
-def test_marked_sweep_outcomes_equal_probing_each_alpha(probe, n, alphas):
+def test_marked_sweep_outcomes_equal_probing_each_alpha(candidates, n, alphas):
     ps = [theta(2, a, n) for a in alphas]
     successes = 0
     for t in range(12):
-        got = X._marked_trial((probe, n, ps, 78, t))
+        got = X._marked_trial((candidates, n, ps, 78, t))
         u, v, marks = X.sample_gnp_marked(n, ps[-1], trial_rng(78, t))
-        want = [
-            probe(Graph.from_arrays(n, u[marks < p], v[marks < p])) for p in ps
-        ]
+        graphs = [Graph.from_arrays(n, u[marks < p], v[marks < p]) for p in ps]
+        want = [X._spanning_pair(g, candidates(g)) for g in graphs]
         assert got == want
         successes += sum(out[0] for out in want[:-1])
     assert successes > 0  # the short cut after a success was exercised

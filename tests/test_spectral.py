@@ -117,6 +117,14 @@ def test_perron_rejects_negative():
         sp.perron(np.array([[1.0, -0.1], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan, math.inf])
+def test_perron_and_dlambda_reject_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        sp.perron(np.eye(2), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        sp.dlambda_report(2, 5, tol=tol)
+
+
 def test_perron_scalar_companion():
     res = sp.perron(sp.companion_psi(sp.build_A(2, 1)))
     assert res.value == pytest.approx(math.exp(-1), rel=1e-12)
