@@ -159,11 +159,13 @@ def _cmd_bp_hit(args) -> int:
 
 
 def _cmd_spectral_lambda(args) -> int:
+    # without --tol each method keeps its own default
+    tol = {} if args.tol is None else {"tol": args.tol}
     if args.method == "psi":
-        M = spectral.companion_psi(
+        psi = spectral.companion_psi(
             spectral.build_A(args.r, args.ell), ell_budget=args.ell_budget
         )
-        res = spectral.perron(M)
+        res = spectral.perron(psi, **tol)
         payload = {
             "r": args.r,
             "ell": args.ell,
@@ -171,7 +173,7 @@ def _cmd_spectral_lambda(args) -> int:
             "iterations": res.iterations,
         }
     else:
-        report = spectral.dlambda_report(args.r, args.ell, tol=args.tol)
+        report = spectral.dlambda_report(args.r, args.ell, **tol)
         payload = {
             "r": args.r,
             "ell": args.ell,
@@ -425,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--r", type=int, required=True)
     lm.add_argument("--ell", type=int, required=True)
     lm.add_argument("--method", choices=("psi", "dlambda"), default="psi")
-    lm.add_argument("--tol", type=float, default=1e-10)
+    lm.add_argument("--tol", type=float, default=None,
+                    help="default: 1e-13 for psi, 1e-10 for dlambda")
     lm.add_argument("--ell-budget", type=int, default=spectral.DEFAULT_COMPANION_ELL_BUDGET)
     _add_out(lm)
     lm.set_defaults(func=_cmd_spectral_lambda)

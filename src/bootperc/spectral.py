@@ -7,9 +7,14 @@ The limit matrix A(r, ell) has entries
 the growth rate of level-bounded counting tables is the Perron eigenvalue
 lambda(r, ell) of the block companion operator psi(A), and the same number
 is characterized as the unique lambda with spectral-radius(D_lambda A) = 1
-where D_lambda = diag(lambda^{-i}).  Both routes are implemented: dense
-power iteration on psi(A), and bisection on the D_lambda characterization
-(the spectral radius of D_lambda A is strictly decreasing in lambda).
+where D_lambda = diag(lambda^{-i}).  Both routes are implemented: power
+iteration on psi(A), and bisection on the D_lambda characterization (the
+spectral radius of D_lambda A is strictly decreasing in lambda).
+
+psi(A) is ell^2 x ell^2 but is never formed: a product with it is the
+row-wise dot of A with the stacked vector's ell blocks (the top block)
+followed by a shift of the vector down one block, O(ell^2) work and
+memory instead of O(ell^4).
 
 Entries of A underflow double precision for large i, so A is built from
 log entries; the D_lambda route rescales by the largest log entry and
@@ -30,7 +35,10 @@ __all__ = [
     "ConvergenceError",
     "CompanionBudgetError",
     "DEFAULT_COMPANION_ELL_BUDGET",
+    "PERRON_MIN_TOL",
+    "DLAMBDA_MIN_TOL",
     "PerronResult",
+    "CompanionPsi",
     "build_A",
     "build_A_log",
     "companion_psi",
@@ -44,6 +52,17 @@ __all__ = [
 ]
 
 DEFAULT_COMPANION_ELL_BUDGET = 64
+
+# perron's Collatz-Wielandt test asks the ratios w/v to agree to 100*tol
+# relatively; below eps/100 only exactly equal ratios could pass it.
+PERRON_MIN_TOL = float(np.finfo(np.float64).eps) / 100
+
+# dlambda_report stops at |rho(D_lambda A) - 1| < tol, with rho from a power
+# iteration that is itself accurate to a few units in the last place.
+# Measured over r = 2..5 and ell in {2, 3, 5, 10, 20, 30, 40, 64}: no case
+# converged at tol = 3e-15, 6 of 32 did at 4e-15 and 18 of 32 at 1e-14
+# (the rest run out of power iterations), and all of them from 3e-13 up.
+DLAMBDA_MIN_TOL = 4e-15
 
 
 class SpectralError(Exception):
@@ -84,17 +103,73 @@ def build_A(r: int, ell: int) -> np.ndarray:
     return np.exp(build_A_log(r, ell))
 
 
+class CompanionPsi:
+    """Block companion operator psi(M) of an ell x ell matrix M, never formed.
+
+    As an ell^2 x ell^2 matrix, row i of M occupies block column i of the
+    top block row and identity blocks sit on the block subdiagonal.  The
+    product with a vector x is therefore the row-wise dot of M with the
+    ell blocks of x (the top block) followed by x[:-ell] (the shift), so
+    it costs O(ell^2).  `toarray()` builds the dense layout for tests.
+    """
+
+    __slots__ = ("M", "shape")
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        n = M.shape[0] * M.shape[0]
+        self.shape = (n, n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        ell = self.M.shape[0]
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.shape[1],):
+            raise ValueError(
+                f"expected a vector of length {self.shape[1]}, got shape {x.shape}"
+            )
+        out = np.empty_like(x)
+        np.einsum("ij,ij->i", self.M, x.reshape(ell, ell), out=out[:ell])
+        out[ell:] = x[:-ell]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of psi(M): M[0, 0], then zeros."""
+        d = np.zeros(self.shape[0])
+        d[0] = self.M[0, 0]
+        return d
+
+    def pattern(self):
+        """Positivity pattern of psi(M) as a boolean CSR matrix."""
+        from scipy.sparse import csr_matrix
+
+        ell, n = self.M.shape[0], self.shape[0]
+        top_i, top_j = np.nonzero(self.M > 0)
+        rows = np.concatenate([top_i, np.arange(ell, n)])
+        cols = np.concatenate([top_i * ell + top_j, np.arange(n - ell)])
+        return csr_matrix(
+            (np.ones(rows.size, dtype=bool), (rows, cols)), shape=self.shape
+        )
+
+    def toarray(self) -> np.ndarray:
+        ell, n = self.M.shape[0], self.shape[0]
+        P = np.zeros(self.shape, dtype=np.float64)
+        for i in range(ell):
+            P[i, i * ell : (i + 1) * ell] = self.M[i]
+        idx = np.arange(n - ell)
+        P[ell + idx, idx] = 1.0
+        return P
+
+
 def companion_psi(
     M: np.ndarray, ell_budget: int = DEFAULT_COMPANION_ELL_BUDGET
-) -> np.ndarray:
-    """Block companion operator of an ell x ell matrix.
+) -> CompanionPsi:
+    """Block companion operator psi(M) of an ell x ell matrix, applied
+    as top block plus shift (see `CompanionPsi`) and never formed.
 
-    Row i of M occupies block column i of the top block row; identity blocks
-    sit on the block subdiagonal.  The stacked vector with blocks
-    lambda^{ell-1} v, ..., lambda v, v is an eigenvector for eigenvalue
-    lambda exactly when D_lambda M v = v.
+    The stacked vector with blocks lambda^{ell-1} v, ..., lambda v, v is an
+    eigenvector for eigenvalue lambda exactly when D_lambda M v = v.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = np.array(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("companion_psi expects a square matrix")
     ell = M.shape[0]
@@ -102,13 +177,7 @@ def companion_psi(
         raise CompanionBudgetError(
             f"companion dimension budget exceeded: ell={ell} > {ell_budget}"
         )
-    n = ell * ell
-    P = np.zeros((n, n), dtype=np.float64)
-    for i in range(ell):
-        P[i, i * ell : (i + 1) * ell] = M[i]
-    idx = np.arange(n - ell)
-    P[ell + idx, idx] = 1.0
-    return P
+    return CompanionPsi(M)
 
 
 def _period_gcd(indptr: np.ndarray, indices: np.ndarray, n: int) -> int:
@@ -134,26 +203,28 @@ def _period_gcd(indptr: np.ndarray, indices: np.ndarray, n: int) -> int:
     return abs(g)
 
 
-def is_primitive(M: np.ndarray) -> bool:
+def is_primitive(M: np.ndarray | CompanionPsi) -> bool:
     """Whether some power of the nonnegative matrix is strictly positive.
 
     Equivalent graph test: the positivity pattern is strongly connected and
-    aperiodic (gcd of cycle lengths 1).
+    aperiodic (gcd of cycle lengths 1).  A `CompanionPsi` is tested on its
+    sparse pattern, without forming the matrix.
     """
-    M = np.asarray(M)
-    n = M.shape[0]
-    if n == 1:
-        return bool(M[0, 0] > 0)
-    if np.all(M > 0):
-        return True
-    from scipy.sparse import csr_matrix
+    if isinstance(M, CompanionPsi):
+        pattern = M.pattern()
+    else:
+        M = np.asarray(M)
+        if np.all(M > 0):
+            return True
+        from scipy.sparse import csr_matrix
+
+        pattern = csr_matrix(M > 0)
     from scipy.sparse.csgraph import connected_components
 
-    pattern = csr_matrix(M > 0)
     ncomp, _ = connected_components(pattern, directed=True, connection="strong")
     if ncomp != 1:
         return False
-    return _period_gcd(pattern.indptr, pattern.indices, n) == 1
+    return _period_gcd(pattern.indptr, pattern.indices, M.shape[0]) == 1
 
 
 class PerronResult(NamedTuple):
@@ -162,14 +233,22 @@ class PerronResult(NamedTuple):
     iterations: int
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, floor: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if tol < floor:
+        raise ValueError(
+            f"tol must be >= {floor:.3g}, finer than doubles resolve here; got {tol}"
+        )
 
 
-def perron(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000) -> PerronResult:
+def perron(
+    M: np.ndarray | CompanionPsi, tol: float = 1e-13, max_iter: int = 500_000
+) -> PerronResult:
     """Dominant eigenvalue and unit-sum eigenvector of a nonnegative matrix.
 
+    M is a square array or a `CompanionPsi`, whose entries are checked on
+    its ell x ell block and whose primitivity on its sparse pattern.
     Accepts primitive matrices, and also matrices whose diagonal is strictly
     positive (every communicating class is then aperiodic, so the iteration
     converges to the largest class radius; the uniform start keeps scaled
@@ -178,18 +257,21 @@ def perron(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000) -> Perron
     Power iteration with max-norm renormalization; stops when successive
     Rayleigh quotients differ by less than tol and, when the iterate is
     strictly positive, the Collatz-Wielandt bounds agree to 100*tol
-    relatively.
+    relatively.  A tol below PERRON_MIN_TOL is rejected.
     """
-    _check_tol(tol)
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("perron expects a square matrix")
-    if not np.all(np.isfinite(M)):
+    _check_tol(tol, PERRON_MIN_TOL)
+    if isinstance(M, CompanionPsi):
+        entries = M.M
+    else:
+        M = entries = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("perron expects a square matrix")
+    if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")
-    if np.any(M < 0):
+    if np.any(entries < 0):
         raise ValueError("matrix entries must be nonnegative")
     n = M.shape[0]
-    if not (is_primitive(M) or np.all(np.diagonal(M) > 0)):
+    if not (is_primitive(M) or np.all(M.diagonal() > 0)):
         raise NotPrimitiveError(
             "power iteration requires a primitive matrix "
             "(or one with strictly positive diagonal)"
@@ -235,10 +317,11 @@ def dlambda_report(r: int, ell: int, tol: float = 1e-10) -> dict:
     """Solve rho(D_lambda A) = 1 by bisection; returns the root and work counts.
 
     The spectral radius is strictly decreasing in lambda, so the root is
-    unique; the returned lambda satisfies |rho(D_lambda A) - 1| < tol.
+    unique; the returned lambda satisfies |rho(D_lambda A) - 1| < tol.  A
+    tol below DLAMBDA_MIN_TOL is rejected at once: doubles cannot meet it.
     """
     _validate_r_ell(r, ell)
-    _check_tol(tol)
+    _check_tol(tol, DLAMBDA_MIN_TOL)
     log_A = build_A_log(r, ell)
     inner_tol = min(1e-13, tol * 1e-3)
     inner_total = 0

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -135,6 +137,55 @@ def test_spectral_dlambda_rejects_bad_tol_at_once(tol, capsys):
             "dlambda", f"--tol={tol}"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: tol must be finite and > 0")
+
+
+@pytest.mark.parametrize("method", ["dlambda", "psi"])
+def test_spectral_rejects_tol_below_double_resolution_at_once(method, capsys):
+    # dlambda used to run 500,000 power iterations (9.4 s) before failing
+    argv = ["spectral", "lambda", "--r", "2", "--ell", "40", "--method",
+            method, "--tol", "1e-20"]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err.startswith("error: tol must be >=")
+
+
+def _spectral_lambda(capsys, *argv):
+    assert main(["spectral", "lambda", "--r", "2", "--ell", "40", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_spectral_dlambda_tol_1e14_still_converges(capsys):
+    fine = _spectral_lambda(capsys, "--method", "dlambda", "--tol", "1e-14")
+    psi = _spectral_lambda(capsys)
+    assert abs(fine["lambda"] - psi["lambda"]) < 1e-12
+
+
+def test_spectral_psi_takes_tol(capsys):
+    default = _spectral_lambda(capsys)
+    loose = _spectral_lambda(capsys, "--method", "psi", "--tol", "1e-6")
+    dla = _spectral_lambda(capsys, "--method", "dlambda")
+    assert loose["iterations"] < default["iterations"]
+    assert abs(loose["lambda"] - dla["lambda"]) < 1e-5
+
+
+def test_spectral_psi_never_forms_the_lift(capsys):
+    # dense psi(A) at ell = 64 is 4096 x 4096 doubles (134 MB) and took about
+    # 70 s to iterate; numpy reports its buffers to tracemalloc
+    import scipy.sparse.csgraph  # noqa: F401  (imported lazily; not counted)
+
+    argv = ["spectral", "lambda", "--r", "2", "--ell", "64"]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert 0.99 < json.loads(capsys.readouterr().out)["lambda"] < 1.0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 64**4 / 32
 
 
 def test_gnp_sample_round_trip(tmp_path):

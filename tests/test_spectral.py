@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc import counting as ct
 from bootperc import spectral as sp
@@ -50,7 +52,7 @@ def test_build_A_validation():
 
 def test_companion_layout_ell2():
     A = sp.build_A(2, 2)
-    P = sp.companion_psi(A)
+    P = sp.companion_psi(A).toarray()
     expected = np.array(
         [
             [A[0, 0], A[0, 1], 0.0, 0.0],
@@ -63,7 +65,7 @@ def test_companion_layout_ell2():
 
 
 def test_companion_ell1_is_input():
-    P = sp.companion_psi(np.array([[0.5]]))
+    P = sp.companion_psi(np.array([[0.5]])).toarray()
     assert P.shape == (1, 1) and P[0, 0] == 0.5
 
 
@@ -78,6 +80,38 @@ def test_companion_non_square():
         sp.companion_psi(np.ones((2, 3)))
 
 
+@st.composite
+def _nonnegative_square(draw, max_ell=12):
+    ell = draw(st.integers(1, max_ell))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.random((ell, ell)) * 10.0 ** draw(st.integers(-6, 6))
+    M[rng.random((ell, ell)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    return M, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonnegative_square())
+def test_companion_operator_matches_dense(case):
+    # the top block plus shift against the dense layout: same products,
+    # summed in another order, so equal to a few units in the last place
+    M, rng = case
+    psi = sp.companion_psi(M)
+    P = psi.toarray()
+    assert psi.shape == P.shape == (M.size, M.size)
+    x = rng.random(M.size)
+    x[rng.random(M.size) < 0.2] = 0.0
+    got, want = psi @ x, P @ x
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert np.array_equal(psi.diagonal(), np.diagonal(P))
+    assert sp.is_primitive(psi) == sp.is_primitive(P)
+
+
+def test_companion_operator_rejects_wrong_length():
+    psi = sp.companion_psi(sp.build_A(2, 3))
+    with pytest.raises(ValueError):
+        psi @ np.ones(3)
+
+
 # ---------------------------------------------------------------------------
 # primitivity
 
@@ -87,7 +121,7 @@ def test_is_primitive_cases():
     assert not sp.is_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not sp.is_primitive(np.eye(3))
     assert sp.is_primitive(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    assert sp.is_primitive(sp.companion_psi(sp.build_A(2, 3)))
+    assert sp.is_primitive(sp.companion_psi(sp.build_A(2, 3)).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +159,19 @@ def test_perron_and_dlambda_reject_bad_tol(tol):
         sp.dlambda_report(2, 5, tol=tol)
 
 
+def test_tol_floors():
+    # below the floors no stopping test can pass; at them, runs go ahead
+    with pytest.raises(ValueError, match="tol must be >="):
+        sp.perron(np.eye(2), tol=sp.PERRON_MIN_TOL / 2)
+    assert sp.perron(3.0 * np.eye(2), tol=sp.PERRON_MIN_TOL).value == 3.0
+    for tol in (1e-20, 3e-15):
+        with pytest.raises(ValueError, match="tol must be >="):
+            sp.dlambda_report(2, 40, tol=tol)
+    # the inner solves run at tol * 1e-3, which must clear perron's floor
+    rep = sp.dlambda_report(2, 1, tol=sp.DLAMBDA_MIN_TOL)
+    assert rep["lambda"] == pytest.approx(math.exp(-1), rel=1e-14)
+
+
 def test_perron_scalar_companion():
     res = sp.perron(sp.companion_psi(sp.build_A(2, 1)))
     assert res.value == pytest.approx(math.exp(-1), rel=1e-12)
@@ -135,6 +182,26 @@ def test_perron_eigen_residual():
     res = sp.perron(M)
     resid = np.max(np.abs(M @ res.vector - res.value * res.vector))
     assert resid < 1e-10 * np.max(res.vector)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [1, 2, 9, 23, 40])
+def test_perron_operator_matches_dense(r, ell):
+    psi = sp.companion_psi(sp.build_A(r, ell))
+    fast, dense = sp.perron(psi), sp.perron(psi.toarray())
+    assert math.isclose(fast.value, dense.value, rel_tol=1e-13, abs_tol=0.0)
+    assert np.max(np.abs(fast.vector - dense.vector)) <= 1e-12 * np.max(dense.vector)
+    assert abs(fast.iterations - dense.iterations) <= 1
+
+
+def test_perron_operator_checks_entries_and_pattern():
+    for bad in (np.array([[1.0, -0.1], [0.5, 1.0]]), np.array([[1.0, np.nan], [1, 1]])):
+        with pytest.raises(ValueError):
+            sp.perron(sp.companion_psi(bad))
+    # psi of the zero matrix is a nilpotent shift; psi of [[0]] is [[0]]
+    for M in (np.zeros((3, 3)), np.zeros((1, 1))):
+        with pytest.raises(sp.NotPrimitiveError):
+            sp.perron(sp.companion_psi(M))
 
 
 # ---------------------------------------------------------------------------
