@@ -162,9 +162,7 @@ def _cmd_spectral_lambda(args) -> int:
     # without --tol each method keeps its own default
     tol = {} if args.tol is None else {"tol": args.tol}
     if args.method == "psi":
-        psi = spectral.companion_psi(
-            spectral.build_A(args.r, args.ell), ell_budget=args.ell_budget
-        )
+        psi = spectral.companion_psi(spectral.build_A(args.r, args.ell))
         res = spectral.perron(psi, **tol)
         payload = {
             "r": args.r,
@@ -429,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--method", choices=("psi", "dlambda"), default="psi")
     lm.add_argument("--tol", type=float, default=None,
                     help="default: 1e-13 for psi, 1e-10 for dlambda")
-    lm.add_argument("--ell-budget", type=int, default=spectral.DEFAULT_COMPANION_ELL_BUDGET)
     _add_out(lm)
     lm.set_defaults(func=_cmd_spectral_lambda)
 

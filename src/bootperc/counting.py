@@ -529,18 +529,29 @@ def induction_step_report(i: int) -> dict:
 # serialization
 # ----------------------------------------------------------------------
 
-# Counts go through Decimal, whose conversions to and from decimal text are
-# exact at any length: int <-> str refuses integers past
-# sys.get_int_max_str_digits() digits (4300 by default).
+# A count table is written as plain text lines, CRLF-terminated like the
+# csv module's default dialect.  Every field is an integer or a variant
+# label such as triangle_free_lower_level_bounded(6), none of which holds a
+# comma, quote or line break, so no field ever needs quoting and the lines
+# are byte for byte what csv.writer would write.  table_from_csv reads them
+# back with csv.reader.  Counts go through Decimal, whose conversions to and
+# from decimal text are exact at any length: int <-> str refuses integers
+# past sys.get_int_max_str_digits() digits (4300 by default).
 
 
 def table_to_csv(table: CountTable, fp) -> None:
-    """CSV with header r,k,i,variant,count (counts in full decimal)."""
-    writer = csv.writer(fp)
-    writer.writerow(["r", "k", "i", "variant", "count"])
-    label = table.variant_label()
-    for (k, i) in sorted(table.entries):
-        writer.writerow([table.r, k, i, label, str(Decimal(table.entries[(k, i)]))])
+    """CSV with header r,k,i,variant,count (counts in full decimal).
+
+    One line per entry, in sorted (k, i) order, written through
+    fp.writelines so the text (8-14 MB at k_max = 200) is never held
+    whole.  No field is scanned for quoting: none can need it (see above).
+    Decimal stays for the counts, whose int -> str conversion fails past
+    4300 digits.
+    """
+    r, label, entries = table.r, table.variant_label(), table.entries
+    fp.write("r,k,i,variant,count\r\n")
+    fp.writelines(f"{r},{k},{i},{label},{Decimal(entries[(k, i)])}\r\n"
+                  for k, i in sorted(entries))
 
 
 def _parse_count(text: str) -> int:

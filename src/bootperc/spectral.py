@@ -33,8 +33,6 @@ __all__ = [
     "SpectralError",
     "NotPrimitiveError",
     "ConvergenceError",
-    "CompanionBudgetError",
-    "DEFAULT_COMPANION_ELL_BUDGET",
     "PERRON_MIN_TOL",
     "DLAMBDA_MIN_TOL",
     "PerronResult",
@@ -50,8 +48,6 @@ __all__ = [
     "dlambda_row_sums_log",
     "table_growth_ratios",
 ]
-
-DEFAULT_COMPANION_ELL_BUDGET = 64
 
 # perron's Collatz-Wielandt test asks the ratios w/v to agree to 100*tol
 # relatively; below eps/100 only exactly equal ratios could pass it.
@@ -74,10 +70,6 @@ class NotPrimitiveError(SpectralError):
 
 
 class ConvergenceError(SpectralError):
-    pass
-
-
-class CompanionBudgetError(SpectralError):
     pass
 
 
@@ -160,9 +152,7 @@ class CompanionPsi:
         return P
 
 
-def companion_psi(
-    M: np.ndarray, ell_budget: int = DEFAULT_COMPANION_ELL_BUDGET
-) -> CompanionPsi:
+def companion_psi(M: np.ndarray) -> CompanionPsi:
     """Block companion operator psi(M) of an ell x ell matrix, applied
     as top block plus shift (see `CompanionPsi`) and never formed.
 
@@ -172,11 +162,6 @@ def companion_psi(
     M = np.array(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("companion_psi expects a square matrix")
-    ell = M.shape[0]
-    if ell > ell_budget:
-        raise CompanionBudgetError(
-            f"companion dimension budget exceeded: ell={ell} > {ell_budget}"
-        )
     return CompanionPsi(M)
 
 

@@ -1,13 +1,17 @@
-"""The straightforward count-table recursion and Lambda(i) series sum, the
-oracles for the fast versions in `bootperc.counting`.
+"""The straightforward count-table recursion, Lambda(i) series sum and CSV
+writer, the oracles for the fast versions in `bootperc.counting`.
 
 `build_count_table` fills the table k-major: every entry m_r(k, i) takes its
 own sum of big-integer products a_r(k-i, j)^i * m_r(k-i, j).
 `lambda_weight_sum_log` re-sums every term at every j past the peak until
-the stop test passes.  Both are slow and plain on purpose; the library's
-versions must give the same values in the same order.
+the stop test passes.  `table_to_csv` writes each row through csv.writer,
+which decides field by field whether to quote.  All are slow and plain on
+purpose; the library's versions must give the same values in the same
+order, and the same bytes.
 """
 
+import csv
+from decimal import Decimal
 from math import comb, exp, fsum, log
 
 from bootperc.counting import (
@@ -89,3 +93,11 @@ def lambda_weight_sum_log(i):
         tail = exp(terms[-1] - m) * ratio / (1.0 - ratio)
         if tail < 1e-16 * partial:
             return m + log(partial), j
+
+
+def table_to_csv(table, fp):
+    writer = csv.writer(fp)
+    writer.writerow(["r", "k", "i", "variant", "count"])
+    label = table.variant_label()
+    for (k, i) in sorted(table.entries):
+        writer.writerow([table.r, k, i, label, str(Decimal(table.entries[(k, i)]))])

@@ -54,6 +54,19 @@ def test_counts_table_round_trip(tmp_path):
     assert table.entries == want.entries
 
 
+def test_counts_table_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["counts", "table", "--r", "3", "--k-max", "14", "--variant",
+            "triangle_free_lower_level_bounded", "--level-bound", "4"]
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == out.read_bytes()
+    assert printed.startswith(
+        b"r,k,i,variant,count\r\n3,4,1,triangle_free_lower_level_bounded(4),1\r\n")
+
+
 def test_counts_normalized_record(capsys):
     assert main(["counts", "normalized", "--r", "2", "--k", "6", "--i", "2"]) == 0
     rec = json.loads(capsys.readouterr().out)
@@ -167,6 +180,14 @@ def test_spectral_psi_takes_tol(capsys):
     dla = _spectral_lambda(capsys, "--method", "dlambda")
     assert loose["iterations"] < default["iterations"]
     assert abs(loose["lambda"] - dla["lambda"]) < 1e-5
+
+
+def test_spectral_psi_takes_ell_past_64(capsys):
+    # --ell-budget (default 64) capped the dense lift, which is never formed
+    assert main(["spectral", "lambda", "--r", "2", "--ell", "65",
+                 "--method", "psi"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ell"] == 65 and 0.99 < payload["lambda"] < 1.0
 
 
 def test_spectral_psi_never_forms_the_lift(capsys):

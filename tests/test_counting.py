@@ -265,6 +265,39 @@ def test_csv_round_trip_past_int_str_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
+def _csv_bytes(write, table, path=None):
+    if path is None:
+        buf = io.StringIO()
+        write(table, buf)
+        return buf.getvalue().encode()
+    with open(path, "w") as fp:  # as `counts table --out` opens it
+        write(table, fp)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_table_to_csv_matches_csv_writer_oracle(variant, r, tmp_path):
+    bounded = variant == "triangle_free_lower_level_bounded"
+    table = build_count_table(r, r + 14, variant, r + 2 if bounded else None)
+    on_disk = bounded and r == 3
+    got = _csv_bytes(table_to_csv, table, tmp_path / "got" if on_disk else None)
+    want = _csv_bytes(count_oracle.table_to_csv, table,
+                      tmp_path / "want" if on_disk else None)
+    assert got == want
+    assert got.startswith(b"r,k,i,variant,count\r\n")
+    if bounded:
+        assert f",triangle_free_lower_level_bounded({r + 2}),".encode() in got
+
+
+def test_table_to_csv_matches_oracle_past_int_str_digit_limit():
+    table = CountTable(r=2, k_max=3, variant="exact",
+                       entries={(3, 1): 10**5000 + 7})
+    got = _csv_bytes(table_to_csv, table)
+    assert got == _csv_bytes(count_oracle.table_to_csv, table)
+    assert got.endswith(b",exact,1" + b"0" * 4999 + b"7\r\n")
+
+
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "-4", "x"])
 def test_csv_rejects_non_integer_counts(bad):
     buf = io.StringIO(f"r,k,i,variant,count\n2,3,1,exact,{bad}\n")

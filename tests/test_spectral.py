@@ -69,10 +69,14 @@ def test_companion_ell1_is_input():
     assert P.shape == (1, 1) and P[0, 0] == 0.5
 
 
-def test_companion_budget():
-    with pytest.raises(sp.CompanionBudgetError):
-        sp.companion_psi(np.ones((65, 65)))
-    sp.companion_psi(np.ones((65, 65)), ell_budget=65)
+def test_companion_psi_has_no_ell_cap():
+    # psi(M) is never formed, so a large ell costs O(ell^2) memory only
+    psi = sp.companion_psi(np.ones((65, 65)))
+    assert psi.shape == (65 * 65, 65 * 65)
+    x = np.arange(65 * 65, dtype=np.float64)
+    y = psi @ x
+    assert np.array_equal(y[65:], x[:-65])
+    assert np.allclose(y[:65], x.reshape(65, 65).sum(axis=1))
 
 
 def test_companion_non_square():
