@@ -18,8 +18,9 @@ parallelizable regardless of scheduling.  Each process holds one Philox
 bit generator and re-keys it to [rng_seed, trial_index] with a zero
 counter at the start of every trial: the stream is the one a new
 Philox(key=[rng_seed, trial_index]) gives, without building one per
-trial.  Poisson variates come from numpy's Generator.poisson (inversion
-for small means, transformed rejection for large ones).
+trial.  Poisson variates come from numpy's Generator.poisson, which uses
+the multiplication method below mean 10 and transformed rejection (PTRS)
+from 10 up.
 """
 
 import math
@@ -43,8 +44,6 @@ __all__ = [
     "hitting_probability_exact",
     "simulate_generations",
     "hitting_frequency_mc",
-    "reach_frequency_mc",
-    "walk_progeny_frequency_mc",
 ]
 
 DEFAULT_K_CAP = 60
@@ -128,14 +127,6 @@ class BPOutcome:
     steps: int
     truncation_reason: str
     total_progeny: int
-
-    @property
-    def trajectory_summary(self) -> dict:
-        return {
-            "max_population": self.max_population,
-            "steps": self.steps,
-            "truncation_reason": self.truncation_reason,
-        }
 
 
 @dataclass(frozen=True)
@@ -346,39 +337,3 @@ def hitting_frequency_mc(
         ),
     ))
 
-
-def reach_frequency_mc(
-    r: int,
-    eps: float,
-    k: int,
-    trials: int,
-    rng_seed: int,
-    k_cap: int = DEFAULT_K_CAP,
-) -> HitEstimate:
-    """MC frequency of {exists t: S_t >= k} from the set-based process."""
-    if k > k_cap:
-        raise ValueError("k beyond the population cap is unobservable")
-    return HitEstimate(trials, *_bernoulli_mc(
-        trials,
-        lambda t: simulate_generations(
-            r, eps, rng_seed, k_cap=k_cap, trial_index=t
-        )[-1][0] >= k,
-    ))
-
-
-def walk_progeny_frequency_mc(
-    r: int,
-    eps: float,
-    progeny: int,
-    trials: int,
-    rng_seed: int,
-    policy: WalkPolicy | None = None,
-) -> HitEstimate:
-    """MC frequency of the walk's total progeny reaching the given count."""
-    policy = policy or WalkPolicy()
-    return HitEstimate(trials, *_bernoulli_mc(
-        trials,
-        lambda t: simulate_walk(
-            r, eps, rng_seed, policy=policy, trial_index=t
-        ).total_progeny >= progeny,
-    ))

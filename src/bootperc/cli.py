@@ -12,7 +12,10 @@ verification run finds violations.
 
 import argparse
 import dataclasses
+import json
 import sys
+
+import numpy as np
 
 from . import branching, counting, spectral, thresholds
 from . import experiments as X
@@ -28,12 +31,31 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _emit_json(payload, out_path) -> None:
-    _emit(X._json_text(payload), out_path)
+    _emit(_json_text(payload), out_path)
 
 
 def _emit_csv(header, rows, out_path) -> None:
-    _emit(X._csv_text(header, rows), out_path)
+    _emit(_csv_text(header, rows), out_path)
 
 
 # ---------------------------------------------------------------------------

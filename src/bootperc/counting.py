@@ -58,7 +58,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import combinations
-from math import comb, exp, factorial, fsum, lgamma, log
+from math import comb, exp, fsum, lgamma, log
 
 __all__ = [
     "CountTable",
@@ -68,13 +68,10 @@ __all__ = [
     "TableBudgetExceeded",
     "a_count",
     "hat_a_count",
-    "a_identity_sides",
     "build_count_table",
     "brute_force_count",
     "iter_minimally_susceptible",
     "normalized",
-    "sigma_upper_log",
-    "A_entry",
     "lambda_weight_sum_log",
     "induction_step_report",
     "table_to_csv",
@@ -123,30 +120,6 @@ def hat_a_count(r: int, x: int, y: int) -> int:
     return max(0, a_count(r, x, y) - 2 * r * y * x ** (r - 2))
 
 
-def a_identity_sides(r: int, x: int, y: int) -> tuple[float, float]:
-    """Both sides of the falling-factorial identity
-
-        (r-1)!/x^(r-1) * a_r(x, y)/y  =  (1/y) sum_{l=1..y} (x-l)_(r-1)/x^(r-1)
-
-    where (m)_(r-1) = m(m-1)...(m-r+2) is the falling factorial; each
-    summand is a product of r-1 factors (x-l-t)/x, all below 1 and
-    increasing in x.  Returned as (lhs, rhs) for relative-error checks.
-    Requires y >= 1.
-    """
-    if y < 1:
-        raise ValueError("identity requires y >= 1")
-    lhs = factorial(r - 1) / x ** (r - 1) * a_count(r, x, y) / y
-    rhs = fsum(_falling_ratio(r, x, l) for l in range(1, y + 1)) / y
-    return lhs, rhs
-
-
-def _falling_ratio(r: int, x: int, l: int) -> float:
-    prod = 1.0
-    for t in range(r - 1):
-        prod *= (x - l - t) / x
-    return prod
-
-
 # ----------------------------------------------------------------------
 # count tables
 # ----------------------------------------------------------------------
@@ -173,13 +146,6 @@ class CountTable:
                 f"no entry (k={k}, i={i}) in {self.variant_label()} table "
                 f"(r={self.r}, k_max={self.k_max})"
             ) from None
-
-    def row(self, k: int) -> dict[int, int]:
-        return {i: c for (kk, i), c in self.entries.items() if kk == k}
-
-    def total(self, k: int) -> int:
-        """m_r(k): count over all top-level sizes."""
-        return sum(self.row(k).values())
 
     def variant_label(self) -> str:
         if self.variant == "triangle_free_lower_level_bounded":
@@ -429,40 +395,6 @@ def normalized(
     return NormalizedCount(r=r, k=k, i=i, kind=kind, eps=eps, log_value=log_value)
 
 
-def sigma_upper_log(r: int, k: int, i: int) -> float:
-    """log of the top-level tail bound i^(-1/2) e^(-i-(r-2)k)."""
-    return -0.5 * log(i) - i - (r - 2) * k
-
-
-def A_entry(r: int, i: int, j: int, k: int | None = None) -> float:
-    """Recursion kernel entry.
-
-    Without k, the limit A_r(i, j) = j^i e^(-(r-1)i) / i!.  With k, the
-    finite form
-
-        A_r(k, i, j) = j^i/i! * ((k-i)/k)^((r-1)k)
-                       * ((r-1)!/(k-i)^(r-1) * a_r(k-i, j)/j)^i
-
-    which increases to the limit as k grows.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("need i, j >= 1")
-    if k is None:
-        return exp(i * log(j) - (r - 1) * i - lgamma(i + 1))
-    if i >= k - r:
-        raise ValueError(f"need i < k - r, got i={i}, k={k}, r={r}")
-    if j > k - r - i:
-        raise ValueError(f"need j <= k - r - i, got j={j}, k={k}, i={i}")
-    a = a_count(r, k - i, j)
-    log_val = (
-        i * log(j)
-        - lgamma(i + 1)
-        + (r - 1) * k * log((k - i) / k)
-        + i * (lgamma(r) - (r - 1) * log(k - i) + log(a) - log(j))
-    )
-    return exp(log_val)
-
-
 # ----------------------------------------------------------------------
 # the series kernel Lambda(i) and the induction-step inequality
 # ----------------------------------------------------------------------
@@ -560,26 +492,55 @@ def _parse_count(text: str) -> int:
     return int(Decimal(text))
 
 
+def _parse_label(label: str, r: int) -> tuple[str, int | None]:
+    """(variant, level_bound) of a variant label that build_count_table
+    can give a table with threshold r."""
+    if label in ("exact", "triangle_free_lower"):
+        return label, None
+    prefix = "triangle_free_lower_level_bounded("
+    bound = label[len(prefix):-1]
+    if (label.startswith(prefix) and label.endswith(")")
+            and bound.isascii() and bound.isdigit() and int(bound) >= r):
+        return "triangle_free_lower_level_bounded", int(bound)
+    raise ValueError(f"unknown variant label {label!r} for r={r}")
+
+
 def table_from_csv(fp) -> CountTable:
+    """Read back a table written by table_to_csv.
+
+    Raises ValueError for any row build_count_table cannot have written:
+    a key outside r < k, 1 <= i <= k - r (and i <= level_bound for the
+    level-bounded variant), a repeated key, a row whose r or variant label
+    differs from the first row's, or an unknown label.
+    """
     reader = csv.reader(fp)
-    header = next(reader)
+    header = next(reader, None)
     if header != ["r", "k", "i", "variant", "count"]:
         raise ValueError(f"unexpected CSV header: {header}")
     entries: dict[tuple[int, int], int] = {}
-    r = k_max = None
-    label = None
+    first = None
     for row in reader:
-        r = int(row[0])
-        k = int(row[1])
-        entries[(k, int(row[2]))] = _parse_count(row[4])
-        label = row[3]
-        k_max = k if k_max is None else max(k_max, k)
-    if r is None or label is None:
+        if len(row) != 5:
+            raise ValueError(f"expected 5 fields, got {row}")
+        if first is None:
+            first = (int(row[0]), row[3])
+            r, label = first
+            if r < 2:
+                raise ValueError(f"threshold r must be >= 2, got {r}")
+            variant, level_bound = _parse_label(label, r)
+        elif (int(row[0]), row[3]) != first:
+            raise ValueError(
+                f"row {row} disagrees with r={r}, variant {label!r} of the first row"
+            )
+        k, i = int(row[1]), int(row[2])
+        if not (r < k and 1 <= i <= k - r):
+            raise ValueError(f"need r < k and 1 <= i <= k - r, got row {row}")
+        if level_bound is not None and i > level_bound:
+            raise ValueError(f"i={i} exceeds the level bound {level_bound}: {row}")
+        if (k, i) in entries:
+            raise ValueError(f"repeated key (k={k}, i={i})")
+        entries[(k, i)] = _parse_count(row[4])
+    if first is None:
         raise ValueError("empty count table CSV")
-    level_bound = None
-    variant = label
-    if label.startswith("triangle_free_lower_level_bounded("):
-        variant = "triangle_free_lower_level_bounded"
-        level_bound = int(label.split("(")[1].rstrip(")"))
-    return CountTable(r=r, k_max=k_max, variant=variant, entries=entries,
-                      level_bound=level_bound)
+    return CountTable(r=r, k_max=max(k for k, _ in entries), variant=variant,
+                      entries=entries, level_bound=level_bound)

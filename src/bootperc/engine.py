@@ -243,10 +243,6 @@ def _bits(mask: int, offset: int = 0):
         yield b.bit_length() - 1 + offset
 
 
-def is_complete(graph: Graph) -> bool:
-    return graph.m == graph.n * (graph.n - 1) // 2
-
-
 # ----------------------------------------------------------------------
 # graph I/O
 # ----------------------------------------------------------------------

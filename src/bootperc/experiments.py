@@ -22,7 +22,6 @@ Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
 """
 
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -46,13 +45,10 @@ __all__ = [
     "sample_gnp",
     "sample_gnp_marked",
     "PeelingKernel",
-    "first_step_law",
     "estimate_Pki",
     "seed_edge_sweep",
     "susceptibility_sweep",
     "terminal_set_frequency",
-    "write_csv",
-    "write_json",
 ]
 
 EXHAUSTIVE_SEED_CAP = 200_000
@@ -237,12 +233,6 @@ class ExperimentConfig:
     @property
     def eps(self) -> float:
         return self.n * self.p**self.r
-
-
-def first_step_law(n: int, p: float, r: int) -> float:
-    """P(exactly one vertex joins in round one) = (n-r) q (1-q)^(n-r-1), q=p^r."""
-    q = p**r
-    return (n - r) * q * (1 - q) ** (n - r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -583,36 +573,3 @@ def susceptibility_sweep(
             )
         )
     return points
-
-
-# ---------------------------------------------------------------------------
-# deterministic writers
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as fp:
-        fp.write(_csv_text(header, rows))
-
-
-def write_json(path: str, payload) -> None:
-    with open(path, "w") as fp:
-        fp.write(_json_text(payload))

@@ -25,9 +25,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
-
-from .counting import CountTable
 
 __all__ = [
     "SpectralError",
@@ -45,8 +42,7 @@ __all__ = [
     "lambda_via_dlambda",
     "dlambda_report",
     "lift_vector",
-    "dlambda_row_sums_log",
-    "table_growth_ratios",
+    "dlambda_eigenvector",
 ]
 
 # perron's Collatz-Wielandt test asks the ratios w/v to agree to 100*tol
@@ -365,39 +361,3 @@ def dlambda_eigenvector(r: int, ell: int, lam: float, tol: float = 1e-13) -> np.
     scaled, _ = _scaled_dlambda(build_A_log(r, ell), lam)
     return perron(scaled, tol=tol).vector
 
-
-def dlambda_row_sums_log(r: int, ell: int, lam: float) -> np.ndarray:
-    """log of each row sum of D_lambda A, computed fully in log space."""
-    _validate_r_ell(r, ell)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    i = np.arange(1, ell + 1, dtype=np.float64)
-    log_j = np.log(np.arange(1, ell + 1, dtype=np.float64))
-    log_pow_sums = logsumexp(i[:, None] * log_j[None, :], axis=1)
-    log_gamma = np.array([math.lgamma(t + 1) for t in range(1, ell + 1)])
-    return -i * math.log(lam) - (r - 1) * i - log_gamma + log_pow_sums
-
-
-def table_growth_ratios(table: CountTable, k_min: int, kind: str = "sigma") -> dict:
-    """Consecutive growth ratios of row-summed normalized table mass.
-
-    For each k in (k_min, table.k_max] with both rows nonzero, returns
-    S(k)/S(k-1) where S(k) = sum_i normalized(k, i).  Level-bounded
-    lower-bound tables give a lower-bound witness for the growth rate, so
-    the ratios are compared against lambda(r, ell) from above by callers.
-    """
-    from .counting import normalized
-
-    sums = {}
-    for k in range(max(table.r + 1, k_min - 1), table.k_max + 1):
-        logs = []
-        for (kk, i), m in table.entries.items():
-            if kk == k and m > 0:
-                logs.append(normalized(table.r, k, i, kind=kind, table=table).log_value)
-        if logs:
-            sums[k] = float(logsumexp(np.array(logs)))
-    ratios = {}
-    for k in range(k_min, table.k_max + 1):
-        if k in sums and (k - 1) in sums:
-            ratios[k] = math.exp(sums[k] - sums[k - 1])
-    return ratios

@@ -41,7 +41,7 @@ from math import comb, factorial, fsum, log, e as _e
 import numpy as np
 
 __all__ = [
-    "ThresholdParams",
+    "BracketError",
     "GridSpec",
     "critical_alpha",
     "critical_alpha_exact",
@@ -60,6 +60,7 @@ __all__ = [
     "zeta_three_halves",
     "lambda_vs_gamma_report",
     "verify_inequalities",
+    "report_to_json",
 ]
 
 
@@ -257,40 +258,6 @@ def _check_domain(r, alpha, beta, gamma):
     _check_pos(beta, "beta")
     if not 0 <= gamma < 1:
         raise ValueError(f"need 0 <= gamma < 1, got {gamma}")
-
-
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Bundle of the threshold quantities derived from (r, alpha, n)."""
-
-    r: int
-    alpha: float
-    n: int
-    p: float
-    eps: float
-    k_r: float
-    beta_r: float
-    beta_star: float
-    alpha_r: float
-
-    @classmethod
-    def create(cls, r: int, alpha: float, n: int, tol: float = 1e-10):
-        p = theta(r, alpha, n)
-        eps = eps_of(r, alpha, n)
-        return cls(
-            r=r,
-            alpha=alpha,
-            n=n,
-            p=p,
-            eps=eps,
-            k_r=k_r_of_eps(r, eps),
-            beta_r=beta_r(r, alpha),
-            beta_star=beta_star(r, alpha, tol=tol),
-            alpha_r=critical_alpha(r),
-        )
-
-    def alpha_H(self, ell: int) -> float:
-        return critical_alpha_H(self.r, ell)
 
 
 # ----------------------------------------------------------------------

@@ -18,22 +18,20 @@ from hypothesis import strategies as st
 import count_oracle
 from bootperc.counting import (
     VARIANTS,
-    A_entry,
     CountTable,
     EnumerationCapExceeded,
     TableBudgetExceeded,
     a_count,
-    a_identity_sides,
     brute_force_count,
     build_count_table,
     induction_step_report,
     iter_minimally_susceptible,
     lambda_weight_sum_log,
     normalized,
-    sigma_upper_log,
     table_from_csv,
     table_to_csv,
 )
+from bootperc.spectral import build_A
 
 # Oracle outputs, frozen.  Keys are top-level sizes i.
 M2 = {
@@ -88,11 +86,6 @@ def test_a_count_identity_grid():
                 rhs = acc / y
                 worst = max(worst, abs(lhs - rhs) / rhs)
         assert worst < 1e-10, (r, worst)
-
-
-def test_a_identity_sides_helper():
-    lhs, rhs = a_identity_sides(3, 17, 5)
-    assert isclose(lhs, rhs, rel_tol=1e-12)
 
 
 def test_oracle_matches_frozen_r2():
@@ -163,13 +156,18 @@ def test_oracle_cap():
         brute_force_count(2, 7, cap=123)
 
 
+def _row(table, k):
+    """{i: m_r(k, i)} for one k of the table."""
+    return {i: m for (kk, i), m in table.entries.items() if kk == k}
+
+
 def test_recurrence_matches_oracle():
     table = build_count_table(2, 7)
     for k, expected in M2.items():
-        assert table.row(k) == expected
+        assert _row(table, k) == expected
     table3 = build_count_table(3, 7)
     for k, expected in M3.items():
-        assert table3.row(k) == expected
+        assert _row(table3, k) == expected
 
 
 def test_recurrence_recomputation_identity():
@@ -192,9 +190,9 @@ def test_triangle_free_lower_is_sandwiched():
     exact = build_count_table(2, 7)
     for k, expected in M2_TRIANGLE_FREE.items():
         for i in range(1, k - 1):
-            lo = lower.row(k).get(i, 0)
+            lo = lower.entries.get((k, i), 0)
             mid = expected.get(i, 0)
-            hi = exact.row(k).get(i, 0)
+            hi = exact.entries.get((k, i), 0)
             assert lo <= mid <= hi
 
 
@@ -205,7 +203,7 @@ def test_level_bounded_table():
     )
     unbounded = build_count_table(2, 40, variant="triangle_free_lower")
     for (k, i), m in bounded.entries.items():
-        assert i <= ell or i == k - 2
+        assert i <= ell
         assert m <= unbounded.entry(k, i)
     # restricting levels can only remove graphs
     assert bounded.entry(40, 2) < unbounded.entry(40, 2)
@@ -218,8 +216,8 @@ def test_level_bounded_table_can_collapse():
     bounded = build_count_table(
         2, 30, variant="triangle_free_lower_level_bounded", level_bound=3
     )
-    assert bounded.total(30) == 0
-    assert bounded.total(5) == 1
+    assert sum(_row(bounded, 30).values()) == 0
+    assert sum(_row(bounded, 5).values()) == 1
 
 
 def test_table_budget_error():
@@ -248,6 +246,50 @@ def test_csv_round_trip():
     assert back.entries == table.entries
     header = buf.getvalue().splitlines()[0]
     assert header == "r,k,i,variant,count"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(2, 5),
+    k_max=st.integers(3, 40),
+    variant=st.sampled_from(VARIANTS),
+    ell_extra=st.integers(0, 20),
+)
+def test_csv_round_trips_every_built_table(r, k_max, variant, ell_extra):
+    k_max = max(k_max, r + 1)
+    level_bound = (r + ell_extra
+                   if variant == "triangle_free_lower_level_bounded" else None)
+    table = build_count_table(r, k_max, variant, level_bound)
+    buf = io.StringIO()
+    table_to_csv(table, buf)
+    buf.seek(0)
+    back = table_from_csv(buf)
+    assert (back.r, back.k_max, back.variant, back.level_bound) == (
+        r, k_max, variant, level_bound)
+    assert back.entries == table.entries
+
+
+@pytest.mark.parametrize("body, match", [
+    # keys no minimally susceptible graph has: i = 0, and i > k - r
+    ("2,3,0,exact,5", "1 <= i <= k - r"),
+    ("2,3,9,exact,4", "1 <= i <= k - r"),
+    ("2,2,1,exact,1", "r < k"),
+    ("2,9,4,triangle_free_lower_level_bounded(3),0", "level bound 3"),
+    # the top level too: (k, k - r) is stored only when k - r <= ell
+    ("2,5,3,triangle_free_lower_level_bounded(2),1", "level bound 2"),
+    ("2,4,1,exact,4\r\n2,4,1,exact,4", "repeated key"),
+    ("2,3,1,exact,1\r\n3,5,1,exact,6", "disagrees"),
+    ("2,3,1,exact,1\r\n2,4,1,triangle_free_lower,0", "disagrees"),
+    ("2,3,1,bogus,1", "unknown variant"),
+    ("2,3,1,triangle_free_lower_level_bounded(1),1", "unknown variant"),
+    ("2,3,1,triangle_free_lower_level_bounded(x),1", "unknown variant"),
+    ("1,3,1,exact,1", "r must be >= 2"),
+    ("2,3,1,exact", "5 fields"),
+])
+def test_csv_rejects_rows_no_built_table_has(body, match):
+    buf = io.StringIO(f"r,k,i,variant,count\r\n{body}\r\n")
+    with pytest.raises(ValueError, match=match):
+        table_from_csv(buf)
 
 
 def test_csv_round_trip_past_int_str_digit_limit():
@@ -352,30 +394,45 @@ def test_normalized_json_record():
 
 
 def test_sigma_upper_bound_small():
+    # sigma_2(k, i) <= i^(-1/2) e^(-i), in log space
     table = build_count_table(2, 7)
     for k, row in M2.items():
         for i in row:
             got = normalized(2, k, i, table=table)
-            assert got.log_value <= sigma_upper_log(2, k, i)
+            assert got.log_value <= -0.5 * log(i) - i
 
 
 def test_A_entry_limit_values():
-    assert isclose(A_entry(2, 1, 1), exp(-1), rel_tol=1e-14)
-    assert isclose(A_entry(2, 2, 3), 9 * exp(-2) / 2, rel_tol=1e-14)
-    assert isclose(A_entry(3, 2, 2), 4 * exp(-4) / 2, rel_tol=1e-14)
+    # the limit entries A_r(i, j) = j^i e^(-(r-1)i) / i! of spectral.build_A
+    assert isclose(build_A(2, 3)[0, 0], exp(-1), rel_tol=1e-14)
+    assert isclose(build_A(2, 3)[1, 2], 9 * exp(-2) / 2, rel_tol=1e-14)
+    assert isclose(build_A(3, 2)[1, 1], 4 * exp(-4) / 2, rel_tol=1e-14)
+
+
+def _A_entry_finite(r, i, j, k):
+    """A_r(k, i, j) = j^i/i! ((k-i)/k)^((r-1)k) ((r-1)!/(k-i)^(r-1) a_r(k-i, j)/j)^i."""
+    a = a_count(r, k - i, j)
+    return exp(
+        i * log(j)
+        - lgamma(i + 1)
+        + (r - 1) * k * log((k - i) / k)
+        + i * (lgamma(r) - (r - 1) * log(k - i) + log(a) - log(j))
+    )
 
 
 def test_A_entry_monotone_in_k():
+    # the finite-k kernel increases to the limit entry of build_A
     for r in (2, 3):
+        A = build_A(r, 4)
         for i, j in [(1, 1), (2, 3), (4, 2)]:
-            limit = A_entry(r, i, j)
+            limit = A[i - 1, j - 1]
             prev = 0.0
             for k in range(r + i + j + 1, 160, 7):
-                val = A_entry(r, i, j, k=k)
+                val = _A_entry_finite(r, i, j, k)
                 assert prev <= val * (1 + 1e-12)
                 assert val <= limit * (1 + 1e-12)
                 prev = val
-            assert isclose(A_entry(r, i, j, k=3000), limit, rel_tol=0.05)
+            assert isclose(_A_entry_finite(r, i, j, 3000), limit, rel_tol=0.05)
 
 
 def test_lambda_weight_sum_log_matches_direct():

@@ -17,7 +17,6 @@ from bootperc.counting import iter_minimally_susceptible
 from bootperc.engine import (
     Graph,
     graph_bootstrap_closure,
-    is_complete,
     read_graph,
     wedge_pairs,
     write_graph,
@@ -36,6 +35,10 @@ EX5_EDGES = [(0, 2), (1, 2), (0, 3), (2, 3), (3, 4), (1, 4)]
 
 def complete_graph(n):
     return Graph(n, combinations(range(n), 2))
+
+
+def _is_complete(g):
+    return g.m == g.n * (g.n - 1) // 2
 
 
 def random_gnp(n, p, rng):
@@ -253,7 +256,7 @@ def test_closure_k3_connected():
     rng = np.random.default_rng(9)
     # connected graph closes to complete under K_3
     tree = Graph(7, [(0, i) for i in range(1, 7)])
-    assert is_complete(graph_bootstrap_closure(tree, 3))
+    assert _is_complete(graph_bootstrap_closure(tree, 3))
     # disconnected graph does not
     two = Graph(4, [(0, 1), (2, 3)])
     closed = graph_bootstrap_closure(two, 3)
@@ -262,7 +265,7 @@ def test_closure_k3_connected():
         g = random_gnp(8, 0.3, rng)
         closed = graph_bootstrap_closure(g, 3)
         comps = _components(g)
-        assert is_complete(closed) == (comps == 1 or g.n <= 1)
+        assert _is_complete(closed) == (comps == 1 or g.n <= 1)
 
 
 def _components(g):
@@ -284,7 +287,7 @@ def _components(g):
 
 def test_closure_k4_completion():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus 23
-    assert is_complete(graph_bootstrap_closure(g, 4))
+    assert _is_complete(graph_bootstrap_closure(g, 4))
     # K4 minus two edges stays put
     g2 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     assert graph_bootstrap_closure(g2, 4).m == g2.m
@@ -308,7 +311,7 @@ def test_seed_implies_complete_closure():
         g = random_gnp(8, 0.55, rng)
         if has_seed(g, r) is not None:
             found += 1
-            assert is_complete(graph_bootstrap_closure(g, r + 2))
+            assert _is_complete(graph_bootstrap_closure(g, r + 2))
     assert found >= 5
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from bootperc import experiments as X
 from bootperc.branching import trial_rng
+from bootperc.cli import _csv_text, _json_text
 from bootperc.counting import TableBudgetExceeded
 from bootperc.engine import Graph, wedge_pairs
 from bootperc.thresholds import critical_alpha, theta
@@ -223,8 +223,10 @@ def test_config_validation():
 
 
 def test_first_step_law_matches_mc():
+    # P(exactly one vertex joins in round one) = (n-r) q (1-q)^(n-r-1), q = p^r
     n, p, r = 12, 0.25, 2
-    law = X.first_step_law(n, p, r)
+    q = p**r
+    law = (n - r) * q * (1 - q) ** (n - r - 1)
     trials = 20000
     hits = 0
     for t in range(trials):
@@ -527,40 +529,24 @@ def test_susceptibility_candidates_are_wedge_pairs():
 
 
 # ---------------------------------------------------------------------------
-# writers
+# the CLI's CSV and JSON writers on estimates
 
 
-def test_csv_writer_byte_deterministic(tmp_path):
+def test_csv_writer_byte_deterministic():
     est1 = X.estimate_Pki(_small_cfg())
     est2 = X.estimate_Pki(_small_cfg())
     hdr = ("k", "i", "frequency", "stderr", "comparator")
-    f1 = str(tmp_path / "a.csv")
-    f2 = str(tmp_path / "b.csv")
-    X.write_csv(f1, hdr, est1.rows())
-    X.write_csv(f2, hdr, est2.rows())
-    with open(f1, "rb") as fa, open(f2, "rb") as fb:
-        assert fa.read() == fb.read()
+    assert _csv_text(hdr, est1.rows()) == _csv_text(hdr, est2.rows())
 
 
 def test_csv_writer_formats():
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "x.csv")
-        X.write_csv(path, ("a", "b", "c"), [(1, 0.5, True), (2, 1e-17, False)])
-        with open(path) as fp:
-            lines = fp.read().splitlines()
-    assert lines == ["a,b,c", "1,0.5,true", "2,1e-17,false"]
+    text = _csv_text(("a", "b", "c"), [(1, 0.5, True), (2, 1e-17, False)])
+    assert text == "a,b,c\n1,0.5,true\n2,1e-17,false\n"
 
 
-def test_json_writer_sorted_and_deterministic(tmp_path):
-    est = X.estimate_Pki(_small_cfg(k_max=5))
-    f1 = str(tmp_path / "a.json")
-    f2 = str(tmp_path / "b.json")
-    X.write_json(f1, est.to_json_payload())
-    X.write_json(f2, X.estimate_Pki(_small_cfg(k_max=5)).to_json_payload())
-    with open(f1, "rb") as fa, open(f2, "rb") as fb:
-        b1, b2 = fa.read(), fb.read()
+def test_json_writer_sorted_and_deterministic():
+    b1 = _json_text(X.estimate_Pki(_small_cfg(k_max=5)).to_json_payload())
+    b2 = _json_text(X.estimate_Pki(_small_cfg(k_max=5)).to_json_payload())
     assert b1 == b2
     import json
 

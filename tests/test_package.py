@@ -1,0 +1,60 @@
+"""Package-level contracts: each module's public names, and what loading
+the package imports."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bootperc
+from bootperc import (
+    branching,
+    cli,
+    counting,
+    engine,
+    experiments,
+    spectral,
+    thresholds,
+)
+
+MODULES = [bootperc, branching, cli, counting, engine, experiments, spectral,
+           thresholds]
+
+
+def _public_defs(module):
+    """Names of the module's top-level def and class statements that do
+    not start with an underscore."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_lists_exactly_the_public_names(module):
+    listed = module.__all__
+    assert len(listed) == len(set(listed)), "repeated name in __all__"
+    assert [n for n in listed if not hasattr(module, n)] == []
+    assert sorted(_public_defs(module) - set(listed)) == []
+
+
+def test_loading_the_package_imports_no_scipy():
+    # scipy is imported where it is used (primitivity tests); loading the
+    # CLI alone must not pay for it
+    src = str(Path(bootperc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys, bootperc.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

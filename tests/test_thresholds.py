@@ -313,28 +313,6 @@ def test_lambda_vs_gamma_report_holds_across_i():
 
 
 # ---------------------------------------------------------------------------
-# parameter bundle
-
-
-def test_threshold_params_consistency():
-    p = th.ThresholdParams.create(2, 0.25, 10**6)
-    assert p.p == th.theta(2, 0.25, 10**6)
-    assert p.eps * math.log(10**6) == pytest.approx(0.25, rel=1e-12)
-    assert p.beta_r == pytest.approx(4.0, rel=1e-15)
-    assert p.beta_star == pytest.approx(4.0, abs=1e-6)
-    assert p.alpha_r == 0.25
-    assert p.k_r == pytest.approx(1.0 / p.eps, rel=1e-12)
-    assert p.alpha_H(1) == pytest.approx(1 / 3, rel=1e-15)
-
-
-def test_threshold_params_off_critical():
-    p = th.ThresholdParams.create(3, 0.8, 10**5)
-    assert p.alpha == 0.8
-    assert p.beta_star > 0
-    assert th.mu_star(3, 0.8, p.beta_star) == pytest.approx(0.0, abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
 # inequality verifier
 
 
