@@ -317,3 +317,192 @@ def test_trial_rng_equals_fresh_philox(rng_seed, trial_index, dirty):
 def test_trial_rng_rejects_keys_outside_uint64(rng_seed, trial_index):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         bp.trial_rng(rng_seed, trial_index)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep batch against the scalar paths, trial by trial
+
+
+def _walk_batch(r, eps, rng_seed, policy, start, stop):
+    plan = bp._WalkPlan(r, eps, policy)
+    runs = [plan.run(streams) for streams in bp._lockstep(rng_seed, start, stop)]
+    return [np.concatenate(arrays) for arrays in zip(*runs)]
+
+
+# Trial ranges: within one chunk, across a chunk boundary, and ending at
+# the last trial index below 2**64.
+_RANGES = st.one_of(
+    st.tuples(st.integers(0, 2**20), st.integers(150, 400)),
+    st.tuples(st.integers(0, 2**20), st.integers(bp._CHUNK + 1, bp._CHUNK + 300)),
+    st.integers(150, 400).map(lambda n: (2**64 - n, n)),
+)
+# eps where walks reach step mean 10 (and numpy's PTRS) before the policy
+# decides them, and where they do not; with m = 10**6 the walks that
+# survive at r = 2 end at hard_cap
+_WALK_EPS = {2: (0.1, 0.2, 0.5, 1.5), 3: (0.05, 0.2, 0.6), 4: (0.02, 0.3, 1.0)}
+_POLICIES = (bp.WalkPolicy(), bp.WalkPolicy(c1=1.0, m=5), bp.WalkPolicy(m=10**6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from([(r, e) for r, es in _WALK_EPS.items() for e in es]),
+    policy=st.sampled_from(_POLICIES),
+    rng_seed=st.integers(0, 2**64 - 1),
+    trials=_RANGES,
+)
+def test_walk_batch_equals_simulate_walk(case, policy, rng_seed, trials):
+    r, eps = case
+    start, n = trials
+    steps, reason, progeny = _walk_batch(r, eps, rng_seed, policy, start, start + n)
+    for j in range(n):
+        out = bp.simulate_walk(r, eps, rng_seed, policy=policy, trial_index=start + j)
+        reason_j = bp._REASONS[reason[j]]
+        got = (
+            reason_j != "extinct",
+            int(steps[j]) + r - 2 if reason_j == "extinct" else None,
+            int(steps[j]),
+            reason_j,
+            int(progeny[j]),
+            r + int(progeny[j]),
+        )
+        want = (
+            out.survived, out.extinction_time, out.steps,
+            out.truncation_reason, out.total_progeny, out.max_population,
+        )
+        assert got == want, (start + j, got, want)
+
+
+def test_walk_batch_covers_every_ending():
+    # (3, 0.2) reaches mean 10 at t = 11 with trials alive; at (2, 0.2)
+    # with m = 10**6 the walks that survive end at hard_cap = 1000 steps
+    seen = set()
+    for r, policy in ((3, bp.WalkPolicy()), (2, bp.WalkPolicy(m=10**6))):
+        _, reason, _ = _walk_batch(r, 0.2, 5, policy, 0, 3000)
+        seen |= {bp._REASONS[c] for c in np.unique(reason)}
+    assert seen == set(bp._REASONS)
+
+
+@pytest.mark.parametrize("r, eps", [(2, 0.2), (3, 0.2), (2, 0.0)])
+def test_survival_mc_counts_simulate_walk(r, eps):
+    trials, seed = 3000, 99
+    want = sum(bp.simulate_walk(r, eps, seed, trial_index=t).survived
+               for t in range(trials))
+    assert bp.survival_probability_mc(r, eps, trials, seed).p_hat == want / trials
+
+
+def _first_at_or_past(path, k):
+    return next((sy for sy in path if sy[0] >= k), path[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from([(2, 0.1), (2, 0.5), (2, 2.0), (3, 0.2), (3, 1.0), (4, 0.4)]),
+    k_over=st.integers(1, 40),
+    rng_seed=st.integers(0, 2**64 - 1),
+    trials=_RANGES,
+)
+def test_generations_batch_equals_simulate_generations(case, k_over, rng_seed, trials):
+    r, eps = case
+    k = r + k_over
+    start, n = trials
+    plan = bp._GenerationsPlan(r, eps, k)
+    runs = [plan.run(streams) for streams in bp._lockstep(rng_seed, start, start + n)]
+    s, y = (np.concatenate(arrays) for arrays in zip(*runs))
+    for j in range(n):
+        path = bp.simulate_generations(r, eps, rng_seed, trial_index=start + j)
+        assert (int(s[j]), int(y[j])) == _first_at_or_past(path, k), start + j
+
+
+@pytest.mark.parametrize("r, eps, k, i", [(2, 0.1, 4, 1), (2, 1.0, 9, 3), (3, 0.5, 7, 2)])
+def test_hitting_mc_counts_simulate_generations(r, eps, k, i):
+    trials, seed = 3000, 17
+    want = sum((k, i) in bp.simulate_generations(r, eps, seed, trial_index=t)
+               for t in range(trials))
+    assert bp.hitting_frequency_mc(r, eps, k, i, trials, seed).p_hat == want / trials
+
+
+@pytest.mark.parametrize(
+    "rng_seed, start, stop, message",
+    [
+        (2**64, 0, 10, r"rng_seed must lie in \[0, 2\*\*64\)"),
+        (-1, 0, 10, r"rng_seed must lie in \[0, 2\*\*64\)"),
+        (0, 2**64 - 5, 2**64 + 1, r"trial_index must lie in \[0, 2\*\*64\)"),
+        (0, 2**64, 2**64 + 3, r"trial_index must lie in \[0, 2\*\*64\)"),
+    ],
+)
+def test_lockstep_rejects_keys_outside_uint64(rng_seed, start, stop, message):
+    with pytest.raises(ValueError, match=message):
+        next(bp._lockstep(rng_seed, start, stop))
+
+
+@pytest.mark.parametrize("rng_seed", [2**64, -1])
+def test_mc_estimators_reject_seeds_outside_uint64(rng_seed):
+    message = r"rng_seed must lie in \[0, 2\*\*64\)"
+    with pytest.raises(ValueError, match=message):
+        bp.survival_probability_mc(2, 0.1, 10, rng_seed)
+    with pytest.raises(ValueError, match=message):
+        bp.hitting_frequency_mc(2, 0.1, 4, 1, 10, rng_seed)
+    with pytest.raises(ValueError, match=message):
+        bp.simulate_walk(2, 0.1, rng_seed)
+
+
+# ---------------------------------------------------------------------------
+# the numpy facts the batch relies on (numpy 2.4): a numpy that changes
+# one of them fails here instead of silently changing a stream
+
+
+def _words(rng_seed, trial_index, n):
+    return _fresh_rng(rng_seed, trial_index).bit_generator.random_raw(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng_seed=st.integers(0, 2**64 - 1), trial_index=st.integers(0, 2**64 - 1))
+def test_numpy_philox_blocks_are_philox4x64_10(rng_seed, trial_index):
+    counters = np.arange(1, 4, dtype=np.uint64)
+    keys = np.full(3, trial_index, dtype=np.uint64)
+    got = bp._philox_blocks(counters, rng_seed, keys).ravel()
+    assert np.array_equal(got, _words(rng_seed, trial_index, 12))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng_seed=st.integers(0, 2**64 - 1), trial_index=st.integers(0, 2**64 - 1))
+def test_numpy_random_is_top_53_bits(rng_seed, trial_index):
+    words = _words(rng_seed, trial_index, 9)
+    want = [float(int(x) >> 11) * 2.0**-53 for x in words]
+    assert _fresh_rng(rng_seed, trial_index).random(9).tolist() == want
+
+
+def _multiplication_method(words, mean):
+    """Poisson(mean) by multiplying uniforms while above math.exp(-mean);
+    returns the draw and the number of words read."""
+    enlam, prod = math.exp(-mean), 1.0
+    for used, x in enumerate(words, start=1):
+        prod *= float(int(x) >> 11) * 2.0**-53
+        if not prod > enlam:
+            return used - 1, used
+    raise AssertionError("ran out of words")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng_seed=st.integers(0, 2**64 - 1),
+    trial_index=st.integers(0, 2**64 - 1),
+    means=st.lists(
+        st.floats(min_value=1e-9, max_value=10.0, exclude_max=True), min_size=1, max_size=6
+    ),
+)
+def test_numpy_poisson_below_10_is_the_multiplication_method(rng_seed, trial_index, means):
+    words = _words(rng_seed, trial_index, 400).tolist()
+    rng = _fresh_rng(rng_seed, trial_index)
+    streams = bp._Streams(rng_seed, trial_index, trial_index + 1)
+    row = np.zeros(1, dtype=np.intp)
+    read = 0
+    for mean in means:
+        want, used = _multiplication_method(words[read:], mean)
+        read += used
+        assert int(rng.poisson(mean)) == want
+        assert streams.poisson(row, mean, np.array([math.exp(-mean)]))[0] == want
+        assert streams.words[0] == read
+    # the hand-over leaves the process's generator where this one is
+    [(_, resumed)] = list(streams.resumed(row))
+    assert np.array_equal(resumed.random(7), rng.random(7))

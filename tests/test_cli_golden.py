@@ -5,7 +5,8 @@ the file it writes with a pinned hash.  The cases cover every G(n,p)
 estimator in CSV and JSON (including the seed-policy "all" paths, alpha
 lists given out of order and one pki case at n = 10^5), branching-process
 survival for one eps, for a sweep and with walks ending at the hard cap, the
-hitting MC at r = 2 and r = 3, count tables of all three variants, and the
+hitting MC at r = 2 and r = 3, the bp-mc benchmark's three commands at
+20,000 trials, count tables of all three variants, and the
 inequality verifier on the --fast grid and on the default grid.
 A refactor that keeps every RNG draw in order and every formatter
 unchanged keeps these hashes; any change to output bytes shows here.
@@ -93,6 +94,22 @@ GOLDEN = {
         ["bp", "hit", "--r", "3", "--eps", "0.2", "--k", "5", "--i", "1",
          "--mc", "--trials", "3000", "--seed", "7"],
         "2d97b129f37e574b04929b6e05d492ec8fa119b2469ab33f88a72788a0c2dc11",
+    ),
+    # the bp-mc benchmark workload's commands at its first round's seeds
+    "bp-survive-r2-20000": (
+        ["bp", "survive", "--r", "2", "--eps", "0.1", "0.2", "--trials", "20000",
+         "--seed", "4096"],
+        "fd5b97968ff4a8a858ec7a0edf3b7738501365d7ac9c2213de7051dedc16c357",
+    ),
+    "bp-survive-r3-20000": (
+        ["bp", "survive", "--r", "3", "--eps", "0.2", "--trials", "20000",
+         "--seed", "4096"],
+        "7e59ad0e513d7b03af9200ca782f43598d9fe221e4b99a14e74287ee2843212d",
+    ),
+    "bp-hit-mc-20000": (
+        ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "1",
+         "--mc", "--trials", "20000", "--seed", "2024"],
+        "0e27c6c7a7816f57607b05e6f576d4dc59981a7709f49af8b83f950b5191948b",
     ),
     "counts-table": (
         ["counts", "table", "--r", "2", "--k-max", "30"],
