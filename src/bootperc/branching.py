@@ -287,17 +287,28 @@ class WalkPolicy:
             )
 
     def t_cut(self, r: int, eps: float) -> int:
-        if eps <= 0:
-            return 0
-        return max(r, math.ceil(self.c1 * k_r_of_eps(r, eps)))
+        return self.limits(r, eps)[0]
 
     def hard_cap(self, r: int, eps: float) -> int:
         return self.limits(r, eps)[1]
 
     def limits(self, r: int, eps: float) -> tuple[int, int]:
-        """(t_cut, hard_cap), computing k_r(eps) once."""
-        t_cut = self.t_cut(r, eps)
-        return t_cut, max(1000, math.ceil(self.hard_cap_factor * t_cut))
+        """(t_cut, hard_cap), computing k_r(eps) once.
+
+        Raises ValueError when either limit overflows a double, as for an
+        eps > 0 so small that k_r(eps) is infinite (at r = 2, 1/eps for eps
+        below about 5.6e-309).
+        """
+        t_cut = 0
+        if eps > 0:
+            cut = self.c1 * k_r_of_eps(r, eps)
+            t_cut = max(r, math.ceil(cut)) if math.isfinite(cut) else math.inf
+        cap = self.hard_cap_factor * t_cut
+        if not math.isfinite(cap):
+            raise ValueError(
+                f"the walk's time limits overflow at r = {r}, eps = {eps!r}"
+            )
+        return t_cut, max(1000, math.ceil(cap))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ integers), built from the CSR arrays on first use.
 
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
 seed search draws its candidates from wedge_pairs, the one enumerator of
-such pairs: centre by centre, in numpy chunks of bounded size.  Consumers
+wedges (a, b, c), pairs a < b with a common neighbor c: centre by centre,
+in numpy chunks of bounded size.  The centre lets a search screen out
+pairs whose spread stops at {a, b, c} before it runs them; consumers
 deduplicate pairs with several common neighbors themselves.
 """
 
@@ -28,12 +30,8 @@ __all__ = [
     "read_graph",
 ]
 
-WEDGE_FIRST_CHUNK = 1 << 10  # target pairs in wedge_pairs' first chunk
-WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of wedge_pairs
-
-# np.triu_indices(d, 1) by degree d, shared across wedge_pairs calls for the
-# degrees with at most WEDGE_FIRST_CHUNK pairs (under 1 MB in all)
-_SMALL_TRIU: dict = {}
+WEDGE_FIRST_CHUNK = 1 << 10  # target wedges in wedge_pairs' first chunk
+WEDGE_CHUNK_CAP = 1 << 21  # most wedges in any chunk of wedge_pairs
 
 
 class Graph:
@@ -131,49 +129,64 @@ def _build_masks(n, indptr, indices) -> list[int]:
 
 
 def wedge_pairs(graph: Graph):
-    """Pairs (a, b), a < b, with a common neighbor, as chunks of arrays (a, b).
+    """Wedges (a, b, c): pairs a < b with a common neighbor c, as chunks of
+    arrays (a, b, c).
 
-    Centre-major: for each centre in turn, every pair of its sorted
+    Centre-major: for each centre c in turn, every pair of its sorted
     neighbors in row-major order, so a pair comes once per common neighbor.
-    Chunks start at about WEDGE_FIRST_CHUNK pairs, so a search that stops
+    Chunks start at about WEDGE_FIRST_CHUNK wedges, so a search that stops
     early builds little, and double up to WEDGE_CHUNK_CAP; none is longer
-    than the cap, which bounds memory on graphs with ~1e8 wedges.
+    than the cap, which bounds memory on graphs with ~1e8 wedges.  A chunk
+    holds whole centres while they fit; a centre with more pairs than the
+    cap comes one row of pairs at a time, each row cut to the cap.
     """
-    chunk_cap = WEDGE_CHUNK_CAP
+    cap = WEDGE_CHUNK_CAP
+    deg = graph.indptr[1:] - graph.indptr[:-1]
+    pairs = deg * (deg - 1) // 2
+    upto = pairs.cumsum()  # wedges of centres 0..c
+    ends = _wedge_piece_ends(deg, pairs, cap)
+    size = min(WEDGE_FIRST_CHUNK, cap)
+    lo = t0 = 0
+    while lo < ends.shape[0]:
+        hi = max(lo + 1, int(ends.searchsorted(t0 + size, "right")))
+        t1 = int(ends[hi - 1])
+        yield _wedge_range(graph, deg, upto, t0, t1)
+        lo, t0, size = hi, t1, min(2 * size, cap)
+
+
+def _wedge_piece_ends(deg, pairs, cap) -> np.ndarray:
+    """Where each piece of wedge_pairs' order ends: a centre's pairs, or for a
+    centre with more than cap pairs each row of them cut to the cap."""
+    if pairs.max(initial=0) <= cap:
+        return pairs[pairs > 0].cumsum()
+    lengths = []
+    for d, m in zip(deg.tolist(), pairs.tolist()):
+        if m > cap:
+            lengths += [
+                min(cap, d - s) for i in range(d - 1) for s in range(i + 1, d, cap)
+            ]
+        elif m:
+            lengths.append(m)
+    return np.cumsum(lengths, dtype=np.int64)
+
+
+def _wedge_range(graph: Graph, deg, upto, t0: int, t1: int):
+    """Wedges t0..t1-1 of wedge_pairs' order.  Row position p of centre c
+    (p = indptr[c] + i) pairs indices[p] with indices[p + 1:indptr[c + 1]]:
+    deg[c] - 1 - i wedges from index upto[c - 1] + i (deg[c] - 1) - C(i, 2)."""
     indptr, indices = graph.indptr, graph.indices
-    triu: dict = {}
-    buf_a: list = []
-    buf_b: list = []
-    held = 0
-    size = min(WEDGE_FIRST_CHUNK, chunk_cap)
-    for c in range(graph.n):
-        nbrs = indices[indptr[c] : indptr[c + 1]]
-        d = nbrs.shape[0]
-        if d < 2:
-            continue
-        n_pairs = d * (d - 1) // 2
-        if n_pairs <= chunk_cap:
-            cache = _SMALL_TRIU if n_pairs <= WEDGE_FIRST_CHUNK else triu
-            if d not in cache:
-                cache[d] = np.triu_indices(d, 1)
-            ii, jj = cache[d]
-            pieces = [(nbrs[ii], nbrs[jj])]
-        else:  # one row of the centre's pairs at a time, cut to the cap
-            pieces = (
-                (np.full(min(chunk_cap, d - s), nbrs[i]), nbrs[s : s + chunk_cap])
-                for i in range(d - 1)
-                for s in range(i + 1, d, chunk_cap)
-            )
-        for a, b in pieces:
-            if held and held + a.shape[0] > size:
-                yield np.concatenate(buf_a), np.concatenate(buf_b)
-                buf_a, buf_b, held = [], [], 0
-                size = min(2 * size, chunk_cap)
-            buf_a.append(a)
-            buf_b.append(b)
-            held += a.shape[0]
-    if held:
-        yield np.concatenate(buf_a), np.concatenate(buf_b)
+    c0 = int(upto.searchsorted(t0, "right"))
+    c1 = int(upto.searchsorted(t1 - 1, "right")) + 1
+    centre = np.arange(c0, c1).repeat(deg[c0:c1])
+    p = np.arange(indptr[c0], indptr[c1])
+    i = p - indptr[centre]
+    d = deg[centre]
+    first = upto[centre] - d * (d - 1) // 2 + i * (d - 1) - i * (i - 1) // 2
+    take = np.minimum(first + d - 1 - i, t1) - np.maximum(first, t0)
+    take = np.maximum(take, 0)
+    pos = p.repeat(take)
+    b = pos + 1 + np.arange(t0, t1) - first.repeat(take)
+    return indices[pos], indices[b], centre.repeat(take)
 
 
 # ----------------------------------------------------------------------

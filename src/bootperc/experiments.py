@@ -15,8 +15,11 @@ draws its seeds and returns each seed's level profile, for the (k, i)
 visit and terminal frequencies; _marked_trial samples one marked graph and
 runs the one r = 2 search, _spanning_pair, at each alpha of a sweep.  The
 two sweeps differ only in its candidate source: the susceptibility sweep
-probes every engine.wedge_pairs pair, the seed-edge sweep only those that
-are edges (_triangle_edges).
+takes every engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only
+those whose pair is an edge (_triangle_edges).  Most pairs stop at three
+vertices, the pair and its common neighbor; the search screens those out
+in numpy, chunk by chunk, and runs the kernel only on the pairs that can
+grow past them.
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
@@ -53,6 +56,7 @@ __all__ = [
 
 EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
+SCREEN_SLICE = 1 << 15  # most neighbor entries _grows_past_three gathers at once
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +409,24 @@ def terminal_set_frequency(
 
 def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     """(whether some candidate pair percolates the whole graph, the largest
-    spread seen), probing each new pair a < b from chunks of arrays (a, b)
-    until one spans.  The largest spread is at least 2, the size of any
-    pair, even when there is no candidate."""
+    spread seen), from chunks of wedges (a, b, c) with a < b and c a common
+    neighbor, until one pair spans.  The largest spread is at least 2, the
+    size of any pair, even when there is no candidate.
+
+    A wedge whose spread stops at {a, b, c} (_grows_past_three) is not run:
+    it only raises the largest spread to 3.  Each pair of the other wedges
+    is probed once.  Both results are the same in any probing order.
+    """
     n = graph.n
     kernel = PeelingKernel(graph)
     probed = set()
     max_spread = 2
-    for pa, pb in chunks:
+    for pa, pb, pc in chunks:
+        if n > 3:  # at n = 3 a spread of 3 spans
+            grows = _grows_past_three(graph, pa, pb, pc)
+            if not grows.all():
+                max_spread = max(max_spread, 3)
+                pa, pb = pa[grows], pb[grows]
         for seed in zip(pa.tolist(), pb.tolist()):
             if seed in probed:
                 continue
@@ -425,19 +439,52 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     return False, max_spread
 
 
+def _grows_past_three(graph: Graph, a, b, c) -> np.ndarray:
+    """Per wedge (a, b, c), whether the 2-bootstrap spread of {a, b} passes
+    3 vertices.  Its first round infects c; it goes on exactly when some
+    vertex w outside {a, b, c} has two neighbors in {a, b, c}, that is when
+    w comes twice in the concatenated rows N(a), N(b), N(c) of the wedge
+    (a CSR row holds each neighbor once).  The rows are gathered for
+    slices of wedges of at most SCREEN_SLICE entries (or one wedge)."""
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    deg = indptr[1:] - indptr[:-1]
+    ends = (deg[a] + deg[b] + deg[c]).cumsum()  # entries gathered, per wedge
+    grows = np.zeros(a.shape[0], dtype=bool)
+    lo = 0
+    while lo < a.shape[0]:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(base + SCREEN_SLICE, "right")))
+        k = hi - lo
+        wa, wb, wc = a[lo:hi], b[lo:hi], c[lo:hi]
+        rows = np.concatenate((wa, wb, wc))  # wedge i owns rows i, k + i, 2k + i
+        lens = deg[rows]
+        # entry j of the slice reads indices[indptr[row] + j - first[row]]
+        first = lens.cumsum() - lens
+        j = np.arange(int(ends[hi - 1]) - base)
+        w = indices[(indptr[rows] - first).repeat(lens) + j]
+        owner = (np.arange(3 * k) % k).repeat(lens)
+        keep = (w != wa[owner]) & (w != wb[owner]) & (w != wc[owner])
+        key = owner[keep] * n + w[keep]
+        key.sort()
+        grows[lo + key[1:][key[1:] == key[:-1]] // n] = True
+        lo = hi
+    return grows
+
+
 def _triangle_edges(graph: Graph):
-    """The edges lying in triangles, as engine.wedge_pairs chunks filtered to
-    edges: a seed edge needs a common neighbor for its first round."""
+    """The wedges (a, b, c) whose pair a < b is an edge, as engine.wedge_pairs
+    chunks filtered to edges: a seed edge needs a common neighbor for its
+    first round."""
     n = graph.n
     us = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     mask = us < graph.indices
     ekeys = us[mask] * n + graph.indices[mask]  # sorted: rows hold sorted columns
-    for pa, pb in wedge_pairs(graph):
+    for pa, pb, pc in wedge_pairs(graph):
         keys = pa * n + pb
         pos = np.searchsorted(ekeys, keys)
         ok = pos < ekeys.shape[0]
         ok[ok] = ekeys[pos[ok]] == keys[ok]
-        yield pa[ok], pb[ok]
+        yield pa[ok], pb[ok], pc[ok]
 
 
 def _marked_trial(args) -> list:

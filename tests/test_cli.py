@@ -321,6 +321,32 @@ def test_bp_survive_rejects_policy_without_certificate(capsys):
     assert capsys.readouterr().err.startswith("error: c1 must be")
 
 
+@pytest.mark.parametrize(
+    "r, eps, extra",
+    [
+        (2, "1e-320", []),  # k_r(eps) is infinite
+        (3, "1e-320", []),
+        (2, "1e-307", []),  # k_r is finite, hard_cap_factor * c1 * k_r is not
+        (2, "0.2", ["--hard-cap-factor", "1e308"]),
+    ],
+)
+def test_bp_survive_rejects_walk_limits_that_overflow(r, eps, extra, capsys):
+    # each ended in an OverflowError traceback, exit 1
+    argv = ["bp", "survive", "--r", str(r), "--eps", eps, "--trials", "10", *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: the walk's time limits overflow at r = {r}, eps = {float(eps)!r}\n"
+    )
+
+
+def test_bp_hit_mc_runs_at_tiny_eps(capsys):
+    # no walk limits here: the set process stops at extinction or at k
+    argv = ["bp", "hit", "--r", "2", "--eps", "1e-320", "--k", "4", "--i", "1",
+            "--mc", "--trials", "10"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["p_hat"] == 0.0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

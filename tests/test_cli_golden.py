@@ -3,7 +3,8 @@
 Each case runs `bootperc.cli.main` with `--out` and compares the SHA-256 of
 the file it writes with a pinned hash.  The cases cover every G(n,p)
 estimator in CSV and JSON (including the seed-policy "all" paths, alpha
-lists given out of order and one pki case at n = 10^5), branching-process
+lists given out of order, one pki case at n = 10^5 and both sweeps at the
+gnp-threshold benchmark's sizes), branching-process
 survival for one eps, for a sweep and with walks ending at the hard cap, the
 hitting MC at r = 2 and r = 3, the bp-mc benchmark's three commands at
 20,000 trials, count tables of all three variants, and the
@@ -58,6 +59,18 @@ GOLDEN = {
         ["gnp", "seed-edge-sweep", "--n", "60", "--alphas", "3.0", "0.5",
          "8.0", "--trials", "12", "--seed", "21", "--format", "json"],
         "90de40feaf5474ae2c81d0ecc0a67af9878e2c5b1f77d5a47d10a7bff60da77c",
+    ),
+    # the gnp-threshold benchmark workload's commands at its first round's
+    # seeds, where most candidate wedges stop at three vertices
+    "gnp-seed-edge-sweep-n1000": (
+        ["gnp", "seed-edge-sweep", "--n", "1000", "--alphas", "0.02", "0.75",
+         "3.0", "--trials", "40", "--seed", "11", "--workers", "0"],
+        "ef909fb873ead0374abbb2e79f1ae116ed841f1462f0941dc6ef324287f89ab6",
+    ),
+    "gnp-susceptibility-sweep-n2000": (
+        ["gnp", "susceptibility-sweep", "--n", "2000", "--alphas", "0.0125",
+         "5.0", "--trials", "24", "--seed", "12", "--workers", "0"],
+        "b8eafa9cd8b3ab421d7f9a6060eacd996c5ac5c8caa6240c775a28d77bb04a4c",
     ),
     "gnp-susceptibility-sweep-csv": (
         ["gnp", "susceptibility-sweep", "--n", "150", "--alphas", "0.0125",

@@ -203,24 +203,36 @@ def test_wedge_pairs_match_brute_force(n_edges, first_chunk, chunk_cap):
     graph = Graph(n, edges)
     with _chunk_sizes(first_chunk, chunk_cap):
         chunks = list(wedge_pairs(graph))
-    assert all(0 < a.shape[0] == b.shape[0] <= chunk_cap for a, b in chunks)
+    assert all(
+        0 < a.shape[0] == b.shape[0] == c.shape[0] <= chunk_cap
+        for a, b, c in chunks
+    )
+    assert all(x.dtype == np.int64 for chunk in chunks for x in chunk)
     got = [
-        pair for a, b in chunks for pair in zip(a.tolist(), b.tolist())
+        wedge
+        for a, b, c in chunks
+        for wedge in zip(a.tolist(), b.tolist(), c.tolist())
     ]
     # centre-major, row-major within a centre: one entry per common neighbor
     assert got == [
-        pair for c in range(n) for pair in combinations(graph.neighbors(c).tolist(), 2)
+        (a, b, c)
+        for c in range(n)
+        for a, b in combinations(graph.neighbors(c).tolist(), 2)
     ]
-    assert all(a < b for a, b in got)
+    assert all(a < b for a, b, _ in got)
     def adjacent(x, y):
         return (min(x, y), max(x, y)) in edges
 
-    brute = {
-        (a, b) for a, b in combinations(range(n), 2)
-        if any(adjacent(a, c) and adjacent(b, c) for c in range(n))
-    }
-    assert set(got) == brute
-    keys = np.unique(np.array([a * n + b for a, b in got], dtype=np.int64))
+    # every centre is adjacent to both endpoints, and the wedges are exactly
+    # the (a, b, c) with a < b and c adjacent to both, each once
+    assert all(adjacent(a, c) and adjacent(b, c) for a, b, c in got)
+    assert sorted(got) == [
+        (a, b, c)
+        for a, b in combinations(range(n), 2)
+        for c in range(n)
+        if adjacent(a, c) and adjacent(b, c)
+    ]
+    keys = np.unique(np.array([a * n + b for a, b, _ in got], dtype=np.int64))
     assert list(zip((keys // max(n, 1)).tolist(), (keys % max(n, 1)).tolist())) == (
         _wedge_pairs_reference(graph)
     )
@@ -232,14 +244,21 @@ def test_wedge_pairs_chunks_double_up_to_the_cap():
     # are never split while they fit under the cap
     g = complete_graph(12)
     with _chunk_sizes(50, 200):
-        sizes = [a.shape[0] for a, _ in wedge_pairs(g)]
-    assert sizes == [55, 55, 165, 165, 165, 55]
+        chunks = list(wedge_pairs(g))
+    assert [a.shape[0] for a, _, _ in chunks] == [55, 55, 165, 165, 165, 55]
+    # each centre repeated once per pair of its neighbors
+    assert [c.tolist() for _, _, c in chunks] == [
+        [c for c in centres for _ in range(55)]
+        for centres in ([0], [1], [2, 3, 4], [5, 6, 7], [8, 9, 10], [11])
+    ]
     # a centre with more pairs than the cap comes row by row (7, 6, ..., 1
     # pairs), each row cut to the cap; chunk sizes grow 1, 2, 4, 5
     star = Graph(9, [(0, v) for v in range(1, 9)])
     with _chunk_sizes(1, 5):
-        sizes = [a.shape[0] for a, _ in wedge_pairs(star)]
+        chunks = list(wedge_pairs(star))
+    sizes = [a.shape[0] for a, _, _ in chunks]
     assert sizes == [5, 2, 5, 1, 5, 4, 5, 1] and sum(sizes) == comb(8, 2)
+    assert all((c == 0).all() and c.shape[0] == a.shape[0] for a, _, c in chunks)
 
 
 def test_has_seed():

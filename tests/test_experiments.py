@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -510,13 +512,19 @@ def test_susceptibility_sweep_validation():
 
 def test_susceptibility_candidates_are_wedge_pairs():
     g = X.sample_gnp(40, 0.15, 12)
-    cands = {
-        pair for a, b in wedge_pairs(g) for pair in zip(a.tolist(), b.tolist())
-    }
-    for u, v in cands:
+    wedges = [
+        wedge
+        for a, b, c in wedge_pairs(g)
+        for wedge in zip(a.tolist(), b.tolist(), c.tolist())
+    ]
+    for u, v, c in wedges:
         assert u < v
+        assert g.has_edge(u, c) and g.has_edge(v, c)
+    # each candidate pair comes once per common neighbor
+    cands = Counter((u, v) for u, v, _ in wedges)
+    for (u, v), times in cands.items():
         common = np.intersect1d(g.neighbors(u), g.neighbors(v))
-        assert common.shape[0] > 0
+        assert common.shape[0] == times > 0
     # any pair outside the candidate set has no common neighbor, so its
     # 2-bootstrap spread stops at size 2
     kern = X.PeelingKernel(g)
@@ -526,6 +534,68 @@ def test_susceptibility_candidates_are_wedge_pairs():
     ):
         levels, _ = kern.run((u, v), 2)
         assert levels[-1][0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the three-vertex screen of _spanning_pair
+
+
+@st.composite
+def _dense_gnp(draw):
+    """G(n, p) with 3 <= n <= 40, dense enough for pairs with several common
+    neighbors and with adjacent endpoints."""
+    n = draw(st.integers(3, 40))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.45, 0.7]))
+    return X.sample_gnp(n, p, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_dense_gnp(), screen_slice=st.one_of(st.integers(1, 300), st.just(1 << 15)))
+def test_screen_matches_kernel_on_every_wedge(g, screen_slice):
+    # small slices put slice boundaries inside the chunks; a wedge gathers
+    # 4 to about 120 entries here, so a slice of 1 holds one wedge
+    kern = X.PeelingKernel(g)
+    spread: dict = {}  # the kernel's spread of each pair, run once
+    for a, b, c in wedge_pairs(g):
+        with mock.patch.object(X, "SCREEN_SLICE", screen_slice):
+            grows = X._grows_past_three(g, a, b, c)
+        for pair, gr in zip(zip(a.tolist(), b.tolist()), grows.tolist()):
+            if pair not in spread:
+                spread[pair] = kern.run(pair, 2)[0][-1][0]
+            assert gr == (spread[pair] != 3)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # w = 3 is a second common neighbor of (a, c) = (0, 2), not of (0, 1)
+        [(0, 2), (1, 2), (0, 3), (2, 3)],
+        # w = 3 is a second common neighbor of (b, c) = (1, 2), not of (0, 1)
+        [(0, 2), (1, 2), (1, 3), (2, 3)],
+    ],
+)
+def test_screen_keeps_growth_through_the_centre(edges):
+    g = Graph(7, edges)  # vertices 4..6 isolated
+    wedge = [np.array([x], dtype=np.int64) for x in (0, 1, 2)]
+    assert X._grows_past_three(g, *wedge).tolist() == [True]
+    assert X.PeelingKernel(g).run((0, 1), 2)[0][-1][0] == 4
+    assert X._spanning_pair(g, wedge_pairs(g)) == (False, 4)
+
+
+def test_screen_off_at_n3_where_three_vertices_span():
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert X._spanning_pair(g, wedge_pairs(g)) == (True, 3)
+    assert X._spanning_pair(g, X._triangle_edges(g)) == (True, 3)
+
+
+def test_path_stops_at_three_without_a_kernel_run(monkeypatch):
+    g = Graph(6, [(0, 2), (1, 2)])  # a = 0, c = 2, b = 1; 3..5 isolated
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the screen should have decided this wedge")
+
+    monkeypatch.setattr(X.PeelingKernel, "run", no_run)
+    assert X._spanning_pair(g, wedge_pairs(g)) == (False, 3)
 
 
 # ---------------------------------------------------------------------------
