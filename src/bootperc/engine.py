@@ -2,7 +2,12 @@
 
 Graph keeps a simple undirected graph in CSR arrays (row pointers and
 sorted neighbor lists); the r-neighbour percolation kernel that runs on it
-is experiments.PeelingKernel.  graph_bootstrap_closure, the paper's K_k
+is experiments.PeelingKernel.  The CSR build takes pairs u < v in strictly
+increasing u-major order, the order the G(n,p) sampler draws them in, and
+raises ValueError for pairs out of it: each row is then its upper half as
+given, after its lower half, which one sort of the m keys v n + u orders.
+Graph() sorts its deduplicated pairs into that order; Graph.from_arrays
+takes them as they come.  graph_bootstrap_closure, the paper's K_k
 application, repeatedly adds any missing edge whose endpoints share a
 (k-2)-clique of common neighbors; it works on packed bit-set rows (Python
 integers), built from the CSR arrays on first use.
@@ -47,28 +52,22 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        eu = []
-        ev = []
         seen = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            eu.append(key[0])
-            ev.append(key[1])
-        self.indptr, self.indices = _csr_from_pairs(
-            n, np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
-        )
+            seen.add((u, v) if u < v else (v, u))
+        pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+        self.indptr, self.indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
         self._masks = None
 
     @classmethod
     def from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Fast path for prevalidated, deduplicated edge arrays."""
+        """Graph from prevalidated edge arrays: pairs u < v < n in strictly
+        increasing u-major order, as the G(n,p) sampler draws them (so no
+        repeats).  Raises ValueError for pairs out of that order."""
         g = cls.__new__(cls)
         g.n = n
         g.indptr, g.indices = _csr_from_pairs(
@@ -106,13 +105,38 @@ class Graph:
 
 
 def _csr_from_pairs(n, u, v):
-    # one key head * n + tail per directed edge: sorting it orders the rows
-    # and each row's neighbors at once; row h spans keys [h n, (h + 1) n)
-    key = np.concatenate([u * n + v, v * n + u])
-    key.sort()
-    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(key, n, out=key)
-    return indptr, key
+    """CSR arrays (indptr, indices) of the graph on n vertices whose edges
+    are the pairs (u[j], v[j]), given with u < v in strictly increasing
+    u-major order (keys u n + v), which is row u's upper half in order.
+    Raises ValueError for pairs out of that order or out of range.
+
+    Only the lower halves need sorting: the keys v n + u order them by row
+    and within each row.  Each row is then its lower half followed by its
+    upper half, interleaved by one mask over the 2m entries."""
+    m = u.shape[0]
+    if m:
+        key = u * n + v
+        if not (
+            u[0] >= 0 and v.max() < n and (u < v).all() and (key[1:] > key[:-1]).all()
+        ):
+            raise ValueError(
+                "edges must be pairs u < v < n in strictly increasing u-major order"
+            )
+        del key
+    upper = np.bincount(u, minlength=n)
+    lower = np.bincount(v, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(upper + lower, out=indptr[1:])
+    low = v * n
+    low += u
+    low.sort()
+    np.remainder(low, n, out=low)
+    is_low = np.tile([True, False], n).repeat(np.stack((lower, upper), axis=1).ravel())
+    indices = np.empty(2 * m, dtype=np.int64)
+    indices[is_low] = low
+    del low
+    indices[np.logical_not(is_low, out=is_low)] = v
+    return indptr, indices
 
 
 def _build_masks(n, indptr, indices) -> list[int]:

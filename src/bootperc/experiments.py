@@ -1,24 +1,33 @@
 """G(n,p) Monte Carlo harness.
 
 Sampling uses geometric skipping over linear pair indices, so the expected
-work is O(n^2 p).  Sweeps over alpha reuse one sample per trial through
-uniform edge marks: the subgraph at probability p keeps the edges with
-mark < p, which makes monotonicity in p literal rather than statistical.
+work is O(n^2 p).  The indices come out sorted, so one search of the row
+starts decodes them into pairs u < v in u-major order, the order
+engine.Graph.from_arrays takes.  Sweeps over alpha reuse one sample per
+trial through uniform edge marks: the subgraph at probability p keeps the
+edges with mark < p, which makes monotonicity in p literal rather than
+statistical.
 
 Percolations run on a peeling kernel.  Its per-vertex stamps and counters
 cost O(n) once per graph; a run costs only the degrees of the vertices it
 infects, since the stamps tell which counters belong to the current seed,
 so a graph serves many seeds without O(n) clearing.
 
+Most percolations stop at once, so one numpy screen, _round_infects,
+decides for many sets S at a time whether a t-bootstrap round from S
+infects anything: whether some vertex outside S has t neighbors in S.
+
 Two trial functions carry every estimate: _seeded_trial samples one graph,
 draws its seeds and returns each seed's level profile, for the (k, i)
-visit and terminal frequencies; _marked_trial samples one marked graph and
-runs the one r = 2 search, _spanning_pair, at each alpha of a sweep.  The
-two sweeps differ only in its candidate source: the susceptibility sweep
-takes every engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only
-those whose pair is an edge (_triangle_edges).  Most pairs stop at three
-vertices, the pair and its common neighbor; the search screens those out
-in numpy, chunk by chunk, and runs the kernel only on the pairs that can
+visit and terminal frequencies; a seed whose first round infects nothing
+(the screen with S the seed and t = r) has the profile [(r, r)] and runs
+no kernel.  _marked_trial samples one marked graph and runs the one r = 2
+search, _spanning_pair, at each alpha of a sweep.  The two sweeps differ
+only in its candidate source: the susceptibility sweep takes every
+engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only those whose
+pair is an edge (_triangle_edges).  Most pairs stop at three vertices, the
+pair and its common neighbor; the search screens those out chunk by chunk
+(S = {a, b, c}, t = 2) and runs the kernel only on the pairs that can
 grow past them.
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
@@ -29,7 +38,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -56,7 +65,7 @@ __all__ = [
 
 EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
-SCREEN_SLICE = 1 << 15  # most neighbor entries _grows_past_three gathers at once
+SCREEN_SLICE = 1 << 15  # most neighbor entries _round_infects gathers at once
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +74,18 @@ SCREEN_SLICE = 1 << 15  # most neighbor entries _grows_past_three gathers at onc
 
 def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # linear index over pairs u < v in u-major order:
-    # idx(u, v) = u(2n-u-1)/2 + (v-u-1); row u is the last row starting at
-    # or before idx, found by exact integer search (idx need not be sorted)
+    # idx(u, v) = u(2n-u-1)/2 + (v-u-1); idx must be sorted, so row u's
+    # pairs are the run of idx between its row start and the next one
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2
-    u = np.searchsorted(row_start, idx, side="right") - 1
-    v = idx - row_start[u] + u + 1
-    return u, v
+    counts = np.diff(idx.searchsorted(row_start), append=idx.shape[0])
+    v = (row_start - rows - 1).repeat(counts)
+    np.subtract(idx, v, out=v)
+    return rows.repeat(counts), v
 
 
 def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The sorted linear indices of the pairs G(n, p) keeps."""
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:
         return np.empty(0, dtype=np.int64)
@@ -85,13 +96,17 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean = total * p
     batch = int(mean + 5 * math.sqrt(mean + 1) + 16)
     while pos < total:
-        gaps = rng.geometric(p, size=batch).astype(np.int64)
-        idx = pos + np.cumsum(gaps)
+        idx = rng.geometric(p, size=batch).astype(np.int64, copy=False)
+        # a gap past the last pair ends the sample; clipping it there keeps
+        # the running sums from wrapping at tiny p, where draws reach 2^63 - 1
+        np.minimum(idx, total + 1, out=idx)
+        np.cumsum(idx, out=idx)
+        idx += pos
         pos = int(idx[-1])
         chunks.append(idx)
         batch = max(16, int((total - pos) * p + 5 * math.sqrt(mean + 1) + 16))
-    idx = np.concatenate(chunks)
-    return idx[idx < total]
+    chunks[-1] = idx[: idx.searchsorted(total)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sample_gnp(n: int, p: float, rng_seed: int, trial_index: int = 0) -> Graph:
@@ -243,22 +258,27 @@ class ExperimentConfig:
 # seeded trials: (k, i) visit and terminal frequencies
 
 
-def _random_seed_tuple(rng: np.random.Generator, n: int, r: int) -> tuple[int, ...]:
-    return tuple(int(x) for x in rng.choice(n, size=r, replace=False))
-
-
 def _seeded_trial(args) -> list:
-    """Level profiles of one G(n,p) sample, one per seed, cut by k_stop."""
+    """Level profiles of one G(n,p) sample, one per seed, cut by k_stop.
+
+    A seed whose first round infects nothing (_round_infects) has the
+    profile [(r, r)] without a kernel run."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
     graph = Graph.from_arrays(n, *_sample_edges(n, p, rng))
+    if policy == "all":
+        flat = chain.from_iterable(combinations(range(n), r))
+        seeds = np.fromiter(flat, dtype=np.int64).reshape(-1, r)
+    else:
+        seeds = np.array(
+            [rng.choice(n, size=r, replace=False) for _ in range(seeds_per_graph)]
+        )
+    grows = _round_infects(graph, seeds.T, r)
     kernel = PeelingKernel(graph)
-    seeds = (
-        combinations(range(n), r)
-        if policy == "all"
-        else (_random_seed_tuple(rng, n, r) for _ in range(seeds_per_graph))
-    )
-    return [kernel.run(seed, r, k_stop=k_stop)[0] for seed in seeds]
+    return [
+        kernel.run(seed, r, k_stop=k_stop)[0] if g else [(r, r)]
+        for seed, g in zip(seeds.tolist(), grows.tolist())
+    ]
 
 
 def _seeded_trials(config: ExperimentConfig, k_stop, workers: int):
@@ -413,9 +433,10 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     neighbor, until one pair spans.  The largest spread is at least 2, the
     size of any pair, even when there is no candidate.
 
-    A wedge whose spread stops at {a, b, c} (_grows_past_three) is not run:
-    it only raises the largest spread to 3.  Each pair of the other wedges
-    is probed once.  Both results are the same in any probing order.
+    A wedge whose spread stops at {a, b, c}, because no other vertex has
+    two neighbors among them (_round_infects), is not run: it only raises
+    the largest spread to 3.  Each pair of the other wedges is probed
+    once.  Both results are the same in any probing order.
     """
     n = graph.n
     kernel = PeelingKernel(graph)
@@ -423,7 +444,7 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     max_spread = 2
     for pa, pb, pc in chunks:
         if n > 3:  # at n = 3 a spread of 3 spans
-            grows = _grows_past_three(graph, pa, pb, pc)
+            grows = _round_infects(graph, (pa, pb, pc), 2)
             if not grows.all():
                 max_spread = max(max_spread, 3)
                 pa, pb = pa[grows], pb[grows]
@@ -439,36 +460,41 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     return False, max_spread
 
 
-def _grows_past_three(graph: Graph, a, b, c) -> np.ndarray:
-    """Per wedge (a, b, c), whether the 2-bootstrap spread of {a, b} passes
-    3 vertices.  Its first round infects c; it goes on exactly when some
-    vertex w outside {a, b, c} has two neighbors in {a, b, c}, that is when
-    w comes twice in the concatenated rows N(a), N(b), N(c) of the wedge
-    (a CSR row holds each neighbor once).  The rows are gathered for
-    slices of wedges of at most SCREEN_SLICE entries (or one wedge)."""
+def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
+    """Per set S, whether a t-bootstrap round from S infects anything: some
+    vertex w outside S has at least t neighbors in S, that is, w comes at
+    least t times in the concatenated rows N(x), x in S (a CSR row holds
+    each neighbor once).  members is a sequence of s equal-length vertex
+    arrays, set i being {members[0][i], ..., members[s-1][i]}.  The rows
+    are gathered for slices of sets of at most SCREEN_SLICE entries (or
+    one set)."""
     n, indptr, indices = graph.n, graph.indptr, graph.indices
     deg = indptr[1:] - indptr[:-1]
-    ends = (deg[a] + deg[b] + deg[c]).cumsum()  # entries gathered, per wedge
-    grows = np.zeros(a.shape[0], dtype=bool)
+    ends = sum(deg[x] for x in members).cumsum()  # entries gathered, per set
+    hits = np.zeros(ends.shape[0], dtype=bool)
     lo = 0
-    while lo < a.shape[0]:
+    while lo < ends.shape[0]:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(ends.searchsorted(base + SCREEN_SLICE, "right")))
         k = hi - lo
-        wa, wb, wc = a[lo:hi], b[lo:hi], c[lo:hi]
-        rows = np.concatenate((wa, wb, wc))  # wedge i owns rows i, k + i, 2k + i
+        part = [x[lo:hi] for x in members]
+        rows = np.concatenate(part)  # set i owns rows i, k + i, 2k + i, ...
         lens = deg[rows]
         # entry j of the slice reads indices[indptr[row] + j - first[row]]
         first = lens.cumsum() - lens
         j = np.arange(int(ends[hi - 1]) - base)
         w = indices[(indptr[rows] - first).repeat(lens) + j]
-        owner = (np.arange(3 * k) % k).repeat(lens)
-        keep = (w != wa[owner]) & (w != wb[owner]) & (w != wc[owner])
+        owner = (np.arange(rows.shape[0]) % k).repeat(lens)
+        keep = w != part[0][owner]
+        for x in part[1:]:
+            keep &= w != x[owner]
         key = owner[keep] * n + w[keep]
         key.sort()
-        grows[lo + key[1:][key[1:] == key[:-1]] // n] = True
+        if key.shape[0] >= t:  # t equal sorted keys span t - 1 places
+            same = key[t - 1:] == key[: key.shape[0] + 1 - t]
+            hits[lo + key[t - 1:][same] // n] = True
         lo = hi
-    return grows
+    return hits
 
 
 def _triangle_edges(graph: Graph):

@@ -489,18 +489,49 @@ def _csr_reference(n, u, v):
 @given(
     n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 60)),
     density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    isolated=st.sampled_from([0.0, 0.3]),
     order_seed=st.integers(0, 2**32 - 1),
 )
-def test_csr_from_pairs_matches_lexsort_reference(n, density, order_seed):
-    # deduplicated edges, each given in either direction, in random order
+def test_csr_from_pairs_matches_lexsort_reference(n, density, isolated, order_seed):
+    # deduplicated edges u < v in u-major order, as the sampler draws them;
+    # a share of the vertices is kept isolated
     rng = np.random.default_rng(order_seed)
-    pairs = [e for e in combinations(range(n), 2) if rng.random() < density]
-    rng.shuffle(pairs)
-    flip = rng.random(len(pairs)) < 0.5
-    u = np.array([b if f else a for (a, b), f in zip(pairs, flip)], dtype=np.int64)
-    v = np.array([a if f else b for (a, b), f in zip(pairs, flip)], dtype=np.int64)
+    alone = rng.random(n) < isolated
+    pairs = [
+        (a, b) for a, b in combinations(range(n), 2)
+        if not (alone[a] or alone[b]) and rng.random() < density
+    ]
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
     indptr, indices = engine._csr_from_pairs(n, u, v)
     want_ptr, want_idx = _csr_reference(n, u, v)
     assert indptr.dtype == indices.dtype == np.int64
     assert np.array_equal(indptr, want_ptr)
     assert np.array_equal(indices, want_idx)
+    # Graph() takes its edges in any order and direction, with repeats
+    listed = pairs + pairs[: len(pairs) // 3]
+    rng.shuffle(listed)
+    flip = rng.random(len(listed)) < 0.5
+    g = Graph(n, [(b, a) if f else (a, b) for (a, b), f in zip(listed, flip)])
+    assert np.array_equal(g.indptr, want_ptr)
+    assert np.array_equal(g.indices, want_idx)
+
+
+@pytest.mark.parametrize(
+    "n, u, v",
+    [
+        (5, [0, 2], [1, 1]),  # flipped
+        (5, [0, 1, 0], [1, 2, 3]),  # unsorted rows
+        (5, [1, 1], [3, 2]),  # unsorted within a row
+        (5, [0, 1, 1], [1, 2, 2]),  # repeated
+        (5, [0], [0]),  # self-loop
+        (5, [0, 1], [1, 5]),  # out of range
+        (5, [-1, 0], [2, 1]),  # negative
+    ],
+)
+def test_csr_from_pairs_rejects_pairs_out_of_order(n, u, v):
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    with pytest.raises(ValueError, match="u-major order"):
+        engine._csr_from_pairs(n, u, v)
+    with pytest.raises(ValueError, match="u-major order"):
+        Graph.from_arrays(n, u, v)

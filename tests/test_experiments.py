@@ -47,9 +47,8 @@ def test_pair_inversion_large_n_extremes():
 @given(
     n=st.integers(2, 200_000),
     idx_seed=st.integers(0, 2**32 - 1),
-    shuffle=st.booleans(),
 )
-def test_pair_inversion_matches_forward_formula(n, idx_seed, shuffle):
+def test_pair_inversion_matches_forward_formula(n, idx_seed):
     # u-major order puts row u's pairs (u, u+1) .. (u, n-1) at linear
     # indices u(2n-u-1)/2 .. u(2n-u-1)/2 + n-u-2
     total = n * (n - 1) // 2
@@ -63,8 +62,8 @@ def test_pair_inversion_matches_forward_formula(n, idx_seed, shuffle):
         rows.tolist(), [n - 1] * (n - 1)
     ]
     rng = np.random.default_rng(idx_seed)
-    idx = np.concatenate([first, last, rng.integers(0, total, size=1000)])
-    idx = rng.permutation(idx) if shuffle else np.sort(idx)
+    # sorted, as the sampler draws them, with repeats
+    idx = np.sort(np.concatenate([first, last, rng.integers(0, total, size=1000)]))
     u, v = X._pairs_from_linear(n, idx)
     assert u.dtype == v.dtype == np.int64
     assert (0 <= u).all() and (u < v).all() and (v < n).all()
@@ -77,6 +76,26 @@ def test_sample_gnp_p_zero_and_one():
     g1 = X.sample_gnp(12, 1.0, 7)
     assert g1.m == 12 * 11 // 2
     assert all(g1.degree(v) == 11 for v in range(12))
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-19])
+def test_sample_gnp_tiny_p_draws_no_edge(p):
+    # geometric gaps reach 2^63 - 1 here; their running sums must not wrap
+    g = X.sample_gnp(4, p, 0)
+    assert g.indptr.tolist() == [0] * 5
+    assert g.m == 0
+    assert X._sample_pair_indices(100_000, p, trial_rng(0, 0)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [2, 7, 300])
+@pytest.mark.parametrize("p", [1e-300, 1e-19, 1e-6, 0.01, 0.3, 0.9])
+def test_sample_pair_indices_strictly_increasing(n, p):
+    total = n * (n - 1) // 2
+    for t in range(20):
+        idx = X._sample_pair_indices(n, p, trial_rng(5, t))
+        assert idx.dtype == np.int64
+        assert (np.diff(idx) > 0).all()
+        assert idx.shape[0] == 0 or 0 <= idx[0] <= idx[-1] < total
 
 
 def test_sample_gnp_edge_count_concentration():
@@ -364,6 +383,103 @@ def test_terminal_deterministic_and_workers():
 
 
 # ---------------------------------------------------------------------------
+# the seed screen of _seeded_trial
+
+
+def _seeded_trial_oracle(args) -> list:
+    """_seeded_trial without the screen: every seed, drawn one at a time,
+    runs the kernel."""
+    n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
+    rng = trial_rng(rng_seed, trial_index)
+    graph = Graph.from_arrays(n, *X._sample_edges(n, p, rng))
+    kernel = X.PeelingKernel(graph)
+    seeds = (
+        itertools.combinations(range(n), r)
+        if policy == "all"
+        else (
+            tuple(int(x) for x in rng.choice(n, size=r, replace=False))
+            for _ in range(seeds_per_graph)
+        )
+    )
+    return [kernel.run(seed, r, k_stop=k_stop)[0] for seed in seeds]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    r=st.sampled_from([2, 3, 4]),
+    extra=st.integers(0, 12),
+    p=st.sampled_from([0.05, 0.2, 0.4, 0.6, 0.85]),
+    k_stop=st.sampled_from(["none", "r+1", "12"]),
+    policy=st.sampled_from(["random", "all"]),
+    seeds_per_graph=st.integers(1, 40),
+    rng_seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 2**64 - 1),
+    screen_slice=st.one_of(st.integers(1, 200), st.just(1 << 15)),
+)
+def test_seed_screen_matches_running_every_seed(
+    r, extra, p, k_stop, policy, seeds_per_graph, rng_seed, trial, screen_slice
+):
+    n = r + extra
+    stop = {"none": None, "r+1": r + 1, "12": 12}[k_stop]
+    args = (n, r, p, stop, policy, seeds_per_graph, rng_seed, trial)
+    with mock.patch.object(X, "SCREEN_SLICE", screen_slice):
+        got = X._seeded_trial(args)
+    assert got == _seeded_trial_oracle(args)
+
+
+@pytest.mark.parametrize("r, n, p", [(2, 14, 0.3), (3, 12, 0.5), (4, 10, 0.7)])
+def test_seed_screen_runs_the_kernel_only_on_seeds_that_grow(monkeypatch, r, n, p):
+    runs = []
+    run = X.PeelingKernel.run
+
+    def counted(self, seed, *args, **kwargs):
+        runs.append(seed)
+        return run(self, seed, *args, **kwargs)
+
+    monkeypatch.setattr(X.PeelingKernel, "run", counted)
+    for t in range(4):
+        runs.clear()
+        profiles = X._seeded_trial((n, r, p, None, "all", 1, 9, t))
+        assert len(runs) == sum(len(levels) > 1 for levels in profiles)
+        assert len(profiles) > len(runs) > 0
+
+
+@st.composite
+def _seed_with_near_misses(draw):
+    """A graph, r and a seed {0, ..., r-1}: each other vertex has r - 2 to r
+    neighbors in the seed, besides random edges among the others and inside
+    the seed."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = r + draw(st.integers(1, 8))
+    edges = []
+    for w in range(r, n):
+        inside = draw(st.sampled_from([r - 2, r - 1, r - 1, r]))
+        edges += [(x, w) for x in draw(st.permutations(range(r)))[:inside]]
+    same_side = [
+        (a, b) for a, b in itertools.combinations(range(n), 2) if (a < r) == (b < r)
+    ]
+    edges += draw(st.lists(st.sampled_from(same_side), max_size=2 * n))
+    return Graph(n, edges), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_seed_with_near_misses(), other=st.integers(0, 2**32 - 1))
+def test_round_infects_decides_the_first_round(case, other):
+    # a vertex with exactly r - 1 neighbors in the seed must not count
+    g, r = case
+    seeds = np.array(
+        [list(range(r))]
+        + [np.random.default_rng(other + j).choice(g.n, size=r, replace=False)
+           for j in range(5)],
+        dtype=np.int64,
+    )
+    grows = X._round_infects(g, seeds.T, r).tolist()
+    kern = X.PeelingKernel(g)
+    want = [len(kern.run(seed, r)[0]) > 1 for seed in seeds.tolist()]
+    assert grows == want
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
@@ -558,7 +674,7 @@ def test_screen_matches_kernel_on_every_wedge(g, screen_slice):
     spread: dict = {}  # the kernel's spread of each pair, run once
     for a, b, c in wedge_pairs(g):
         with mock.patch.object(X, "SCREEN_SLICE", screen_slice):
-            grows = X._grows_past_three(g, a, b, c)
+            grows = X._round_infects(g, (a, b, c), 2)
         for pair, gr in zip(zip(a.tolist(), b.tolist()), grows.tolist()):
             if pair not in spread:
                 spread[pair] = kern.run(pair, 2)[0][-1][0]
@@ -577,7 +693,7 @@ def test_screen_matches_kernel_on_every_wedge(g, screen_slice):
 def test_screen_keeps_growth_through_the_centre(edges):
     g = Graph(7, edges)  # vertices 4..6 isolated
     wedge = [np.array([x], dtype=np.int64) for x in (0, 1, 2)]
-    assert X._grows_past_three(g, *wedge).tolist() == [True]
+    assert X._round_infects(g, wedge, 2).tolist() == [True]
     assert X.PeelingKernel(g).run((0, 1), 2)[0][-1][0] == 4
     assert X._spanning_pair(g, wedge_pairs(g)) == (False, 4)
 
