@@ -13,11 +13,13 @@ application, repeatedly adds any missing edge whose endpoints share a
 integers), built from the CSR arrays on first use.
 
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
-seed search draws its candidates from wedge_pairs, the one enumerator of
-wedges (a, b, c), pairs a < b with a common neighbor c: centre by centre,
-in numpy chunks of bounded size.  The centre lets a search screen out
-pairs whose spread stops at {a, b, c} before it runs them; consumers
-deduplicate pairs with several common neighbors themselves.
+seed search draws its candidates from wedges (a, b, c), pairs a < b with a
+common neighbor c.  row_pairs enumerates the pairs of entries of each row
+of CSR arrays in numpy chunks of bounded size; wedge_pairs is row_pairs of
+the graph's own rows, centre by centre, and the seed-edge sweep's triangle
+enumerator runs it on rows oriented by degree.  The centre lets a search
+screen out pairs whose spread stops at {a, b, c} before it runs them;
+consumers deduplicate pairs with several common neighbors themselves.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ import numpy as np
 __all__ = [
     "Graph",
     "wedge_pairs",
+    "row_pairs",
     "graph_bootstrap_closure",
     "write_graph",
     "read_graph",
 ]
 
-WEDGE_FIRST_CHUNK = 1 << 10  # target wedges in wedge_pairs' first chunk
-WEDGE_CHUNK_CAP = 1 << 21  # most wedges in any chunk of wedge_pairs
+WEDGE_FIRST_CHUNK = 1 << 10  # target pairs in row_pairs' first chunk
+WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of row_pairs
 
 
 class Graph:
@@ -156,31 +159,41 @@ def wedge_pairs(graph: Graph):
     """Wedges (a, b, c): pairs a < b with a common neighbor c, as chunks of
     arrays (a, b, c).
 
-    Centre-major: for each centre c in turn, every pair of its sorted
-    neighbors in row-major order, so a pair comes once per common neighbor.
-    Chunks start at about WEDGE_FIRST_CHUNK wedges, so a search that stops
+    These are row_pairs of the graph's CSR arrays: for each centre c in
+    turn, every pair of its sorted neighbors in row-major order, so a pair
+    comes once per common neighbor.
+    """
+    return row_pairs(graph.indptr, graph.indices)
+
+
+def row_pairs(indptr: np.ndarray, indices: np.ndarray):
+    """Pairs of entries of each row of CSR arrays, as chunks of arrays
+    (a, b, c): a before b in row c, row by row, each row's pairs in
+    row-major order.
+
+    Chunks start at about WEDGE_FIRST_CHUNK pairs, so a search that stops
     early builds little, and double up to WEDGE_CHUNK_CAP; none is longer
     than the cap, which bounds memory on graphs with ~1e8 wedges.  A chunk
-    holds whole centres while they fit; a centre with more pairs than the
-    cap comes one row of pairs at a time, each row cut to the cap.
+    holds whole rows while they fit; a row with more pairs than the cap
+    comes one entry's pairs at a time, each cut to the cap.
     """
     cap = WEDGE_CHUNK_CAP
-    deg = graph.indptr[1:] - graph.indptr[:-1]
+    deg = indptr[1:] - indptr[:-1]
     pairs = deg * (deg - 1) // 2
-    upto = pairs.cumsum()  # wedges of centres 0..c
+    upto = pairs.cumsum()  # pairs of rows 0..c
     ends = _wedge_piece_ends(deg, pairs, cap)
     size = min(WEDGE_FIRST_CHUNK, cap)
     lo = t0 = 0
     while lo < ends.shape[0]:
         hi = max(lo + 1, int(ends.searchsorted(t0 + size, "right")))
         t1 = int(ends[hi - 1])
-        yield _wedge_range(graph, deg, upto, t0, t1)
+        yield _wedge_range(indptr, indices, deg, upto, t0, t1)
         lo, t0, size = hi, t1, min(2 * size, cap)
 
 
 def _wedge_piece_ends(deg, pairs, cap) -> np.ndarray:
-    """Where each piece of wedge_pairs' order ends: a centre's pairs, or for a
-    centre with more than cap pairs each row of them cut to the cap."""
+    """Where each piece of row_pairs' order ends: a row's pairs, or for a
+    row with more than cap pairs each entry's pairs cut to the cap."""
     if pairs.max(initial=0) <= cap:
         return pairs[pairs > 0].cumsum()
     lengths = []
@@ -194,11 +207,10 @@ def _wedge_piece_ends(deg, pairs, cap) -> np.ndarray:
     return np.cumsum(lengths, dtype=np.int64)
 
 
-def _wedge_range(graph: Graph, deg, upto, t0: int, t1: int):
-    """Wedges t0..t1-1 of wedge_pairs' order.  Row position p of centre c
+def _wedge_range(indptr, indices, deg, upto, t0: int, t1: int):
+    """Pairs t0..t1-1 of row_pairs' order.  Row position p of row c
     (p = indptr[c] + i) pairs indices[p] with indices[p + 1:indptr[c + 1]]:
-    deg[c] - 1 - i wedges from index upto[c - 1] + i (deg[c] - 1) - C(i, 2)."""
-    indptr, indices = graph.indptr, graph.indices
+    deg[c] - 1 - i pairs from index upto[c - 1] + i (deg[c] - 1) - C(i, 2)."""
     c0 = int(upto.searchsorted(t0, "right"))
     c1 = int(upto.searchsorted(t1 - 1, "right")) + 1
     centre = np.arange(c0, c1).repeat(deg[c0:c1])

@@ -11,7 +11,9 @@ statistical.
 Percolations run on a peeling kernel.  Its per-vertex stamps and counters
 cost O(n) once per graph; a run costs only the degrees of the vertices it
 infects, since the stamps tell which counters belong to the current seed,
-so a graph serves many seeds without O(n) clearing.
+so a graph serves many seeds without O(n) clearing.  A run whose frontier
+grows past a size set by a measured cost model finishes in numpy rounds,
+one bincount over the frontier's rows each.
 
 Most percolations stop at once, so one numpy screen, _round_infects,
 decides for many sets S at a time whether a t-bootstrap round from S
@@ -25,10 +27,11 @@ no kernel.  _marked_trial samples one marked graph and runs the one r = 2
 search, _spanning_pair, at each alpha of a sweep.  The two sweeps differ
 only in its candidate source: the susceptibility sweep takes every
 engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only those whose
-pair is an edge (_triangle_edges).  Most pairs stop at three vertices, the
-pair and its common neighbor; the search screens those out chunk by chunk
-(S = {a, b, c}, t = 2) and runs the kernel only on the pairs that can
-grow past them.
+pair is an edge (_triangle_edges, which finds each triangle once, in
+degree order).  Most pairs stop at three vertices, the pair and its common
+neighbor; the search screens those out (S = {a, b, c}, t = 2) in slices
+that start small and double, probing each slice before it screens the
+next, and runs the kernel only on the pairs that can grow past them.
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
@@ -45,7 +48,7 @@ import numpy as np
 
 from .branching import hitting_probability_exact, trial_rng
 from .counting import TableBudgetExceeded, build_count_table
-from .engine import Graph, wedge_pairs
+from .engine import Graph, row_pairs, wedge_pairs
 from .thresholds import beta_star, theta
 
 __all__ = [
@@ -66,6 +69,11 @@ __all__ = [
 EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
 SCREEN_SLICE = 1 << 15  # most neighbor entries _round_infects gathers at once
+SCREEN_FIRST = 32  # wedges in _spanning_pair's first screened slice
+# PeelingKernel.run hands a run over to numpy rounds once a frontier holds
+# max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY) row entries
+ARRAY_ROUND_MIN_ENTRIES = 128
+ARRAY_ROUND_N_PER_ENTRY = 32
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,22 @@ class PeelingKernel:
     (stamps, counters and row offsets, held as Python lists so that the
     inner loop works on Python ints) costs O(n) once per graph; a run costs
     the sum of degrees of the vertices it infects.
+
+    A round reads the rows of its frontier, the level infected last.  The
+    Python loop reads them one entry at a time, about 110 ns an entry; a
+    numpy round gathers them at once and adds their np.bincount to a count
+    array, about 5 us + 8 ns an entry + 1.5 ns a vertex (least-squares fits
+    on a 2-core Xeon with numpy 2.4, n = 1e3..1e5, mean degree 10..100).
+    The two break even near 50 + n / 70 entries.  A run hands over once a
+    frontier holds max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
+    row entries, two to three times that, which pays for the hand-over and
+    the O(n) passes of the rounds after it, and finishes in numpy rounds.  So
+    a k_stop = 12 probe at n = 1e5, a few hundred entries a round, stays in
+    Python.  The hand-over counts every vertex's neighbors among the
+    vertices infected so far, so the Python counters are not read, and
+    later runs, on fresh stamps, do not see what the numpy rounds did.
+    Rounds are sets, so the profile does not depend on which path ran a
+    round, and k_stop cuts at the same round on both.
     """
 
     def __init__(self, graph: Graph):
@@ -159,6 +183,9 @@ class PeelingKernel:
         self._count_stamp = [0] * n
         self._infected = [0] * n
         self._trial = 0
+        self._array_entries = max(
+            ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY
+        )
 
     def run(
         self, seed, r: int, k_stop: Optional[int] = None
@@ -179,13 +206,18 @@ class PeelingKernel:
         cur = list(dict.fromkeys(raw))
         if len(cur) != len(raw):
             raise ValueError("seed vertices must be distinct")
+        entries = 0  # row entries of the frontier cur
         for s in cur:
             if not 0 <= s < self.graph.n:
                 raise ValueError(f"seed vertex {s} out of range")
             infected[s] = t
+            entries += indptr[s + 1] - indptr[s]
+        spread = list(cur)
         cum = len(cur)
         levels = [(cum, cum)]
         while cur:
+            if entries >= self._array_entries:
+                return self._array_rounds(spread, levels, r, k_stop)
             nxt = []
             for u in cur:
                 for w in indices[indptr[u] : indptr[u + 1]].tolist():
@@ -201,14 +233,49 @@ class PeelingKernel:
                         nxt.append(w)
             if not nxt:
                 return levels, False
+            entries = 0
             for w in nxt:
                 infected[w] = t
+                entries += indptr[w + 1] - indptr[w]
+            spread += nxt
             cum += len(nxt)
             levels.append((cum, len(nxt)))
             if k_stop is not None and cum > k_stop:
                 return levels, True
             cur = nxt
         return levels, False
+
+    def _array_rounds(self, spread, levels, r, k_stop):
+        """Finish a run in numpy rounds from the infected vertices spread,
+        whose last level has not yet been read; levels is the profile so
+        far.  count[w] is w's number of infected neighbors, pushed below
+        -n (out of reach of r, as no degree reaches n) once w is infected."""
+        graph = self.graph
+        n = graph.n
+        spread = np.array(spread, dtype=np.int64)
+        count = np.bincount(_row_entries(graph, spread), minlength=n)
+        count[spread] = -n
+        cum = levels[-1][0]
+        while True:
+            nxt = np.flatnonzero(count >= r)
+            if not nxt.shape[0]:
+                return levels, False
+            cum += nxt.shape[0]
+            levels.append((cum, nxt.shape[0]))
+            if k_stop is not None and cum > k_stop:
+                return levels, True
+            count[nxt] = -n
+            count += np.bincount(_row_entries(graph, nxt), minlength=n)
+
+
+def _row_entries(graph: Graph, rows: np.ndarray) -> np.ndarray:
+    """The rows N(x), x in rows (not empty), concatenated: entry j of the
+    result reads indices[indptr[x] + j - first[x]], first[x] being where
+    x's row starts in the result."""
+    starts = graph.indptr[rows]
+    lens = graph.indptr[rows + 1] - starts
+    ends = lens.cumsum()
+    return graph.indices[(starts - ends + lens).repeat(lens) + np.arange(ends[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -435,28 +502,43 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
 
     A wedge whose spread stops at {a, b, c}, because no other vertex has
     two neighbors among them (_round_infects), is not run: it only raises
-    the largest spread to 3.  Each pair of the other wedges is probed
-    once.  Both results are the same in any probing order.
+    the largest spread to 3.  The other wedges are probed from their pair,
+    which spreads as {a, b, c} does, since c joins in the first round; so
+    a wedge is skipped if its pair or its three vertices were seen before
+    (the three wedges of a triangle share one run).  The screen takes the
+    wedges in slices of SCREEN_FIRST, then twice as many, and so on (never
+    past a chunk), and each slice's pairs are probed before the next slice
+    is screened, so a search whose first pairs span screens little.  Both
+    results are the same in any probing order.
     """
     n = graph.n
     kernel = PeelingKernel(graph)
     probed = set()
     max_spread = 2
+    size = SCREEN_FIRST
     for pa, pb, pc in chunks:
-        if n > 3:  # at n = 3 a spread of 3 spans
-            grows = _round_infects(graph, (pa, pb, pc), 2)
-            if not grows.all():
-                max_spread = max(max_spread, 3)
-                pa, pb = pa[grows], pb[grows]
-        for seed in zip(pa.tolist(), pb.tolist()):
-            if seed in probed:
-                continue
-            probed.add(seed)
-            levels, _ = kernel.run(seed, 2, k_stop=None)
-            size = levels[-1][0]
-            if size == n:
-                return True, n
-            max_spread = max(max_spread, size)
+        lo = 0
+        while lo < pa.shape[0]:
+            a, b, c = pa[lo : lo + size], pb[lo : lo + size], pc[lo : lo + size]
+            if n > 3:  # at n = 3 a spread of 3 spans
+                grows = _round_infects(graph, (a, b, c), 2)
+                if not grows.all():
+                    max_spread = max(max_spread, 3)
+                    a, b, c = a[grows], b[grows], c[grows]
+            for seed, centre in zip(zip(a.tolist(), b.tolist()), c.tolist()):
+                trio = tuple(sorted((*seed, centre)))
+                known = seed in probed or trio in probed
+                probed.add(seed)
+                probed.add(trio)
+                if known:
+                    continue
+                levels, _ = kernel.run(seed, 2, k_stop=None)
+                spread = levels[-1][0]
+                if spread == n:
+                    return True, n
+                max_spread = max(max_spread, spread)
+            lo += size
+            size *= 2
     return False, max_spread
 
 
@@ -468,7 +550,7 @@ def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
     arrays, set i being {members[0][i], ..., members[s-1][i]}.  The rows
     are gathered for slices of sets of at most SCREEN_SLICE entries (or
     one set)."""
-    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    n, indptr = graph.n, graph.indptr
     deg = indptr[1:] - indptr[:-1]
     ends = sum(deg[x] for x in members).cumsum()  # entries gathered, per set
     hits = np.zeros(ends.shape[0], dtype=bool)
@@ -479,12 +561,8 @@ def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
         k = hi - lo
         part = [x[lo:hi] for x in members]
         rows = np.concatenate(part)  # set i owns rows i, k + i, 2k + i, ...
-        lens = deg[rows]
-        # entry j of the slice reads indices[indptr[row] + j - first[row]]
-        first = lens.cumsum() - lens
-        j = np.arange(int(ends[hi - 1]) - base)
-        w = indices[(indptr[rows] - first).repeat(lens) + j]
-        owner = (np.arange(rows.shape[0]) % k).repeat(lens)
+        w = _row_entries(graph, rows)
+        owner = (np.arange(rows.shape[0]) % k).repeat(deg[rows])
         keep = w != part[0][owner]
         for x in part[1:]:
             keep &= w != x[owner]
@@ -498,19 +576,39 @@ def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
 
 
 def _triangle_edges(graph: Graph):
-    """The wedges (a, b, c) whose pair a < b is an edge, as engine.wedge_pairs
-    chunks filtered to edges: a seed edge needs a common neighbor for its
-    first round."""
-    n = graph.n
-    us = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    mask = us < graph.indices
-    ekeys = us[mask] * n + graph.indices[mask]  # sorted: rows hold sorted columns
-    for pa, pb, pc in wedge_pairs(graph):
-        keys = pa * n + pb
-        pos = np.searchsorted(ekeys, keys)
-        ok = pos < ekeys.shape[0]
-        ok[ok] = ekeys[pos[ok]] == keys[ok]
-        yield pa[ok], pb[ok], pc[ok]
+    """The wedges (a, b, c) whose pair a < b is an edge, as chunks of arrays
+    (a, b, c): a seed edge needs a common neighbor for its first round.
+    Such a wedge is a triangle with one of its vertices as centre.
+
+    Triangles are found in degree order.  Each edge points from the lower
+    to the higher (degree, id) rank, and a triangle {x, y, z} with x lowest
+    is found once, at x, as a pair y < z of x's out-neighbors that is an
+    edge.  The pairs of out-neighbors, engine.row_pairs of the oriented
+    rows in its growing chunks, are about a third of all wedges, and each
+    is looked up in the sorted keys u n + v of the graph's 2m row entries.
+    A triangle found at x gives the wedges (y, z, x), (x, y, z) and
+    (x, z, y), each pair put in order a < b.
+    """
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    deg = indptr[1:] - indptr[:-1]
+    src = np.arange(n, dtype=np.int64).repeat(deg)
+    keys = src * n + indices  # sorted: rows hold sorted columns
+    rank = deg * n + np.arange(n)  # orders vertices by (degree, id)
+    out = np.flatnonzero(rank[src] < rank[indices])  # row entries kept
+    for y, z, x in row_pairs(out.searchsorted(indptr), indices[out]):
+        key = y * n + z
+        # z's row holds x, and z n + x > y n + z, so pos stays in range
+        pos = keys.searchsorted(key)
+        tri = keys[pos] == key
+        if tri.any():
+            x, y, z = x[tri], y[tri], z[tri]
+            lo_y, hi_y = np.minimum(x, y), np.maximum(x, y)
+            lo_z, hi_z = np.minimum(x, z), np.maximum(x, z)
+            yield (
+                np.concatenate((y, lo_y, lo_z)),
+                np.concatenate((z, hi_y, hi_z)),
+                np.concatenate((x, z, y)),
+            )
 
 
 def _marked_trial(args) -> list:

@@ -62,13 +62,13 @@ class Trace:
 # ----------------------------------------------------------------------
 
 def bootstrap(graph, seed, r: int, masks=None) -> Trace:
-    """Synchronous r-neighbour bootstrap percolation from seed; masks, if
-    given, are the graph's bit_masks."""
+    """Synchronous r-neighbour bootstrap percolation from seed, r or more
+    distinct vertices; masks, if given, are the graph's bit_masks."""
     if r < 1:
         raise ValueError(f"threshold r must be >= 1, got {r}")
     seed_t = tuple(sorted(set(seed)))
-    if len(seed_t) != r or len(seed_t) != len(tuple(seed)):
-        raise ValueError(f"seed must be {r} distinct vertices, got {tuple(seed)}")
+    if len(seed_t) < r or len(seed_t) != len(tuple(seed)):
+        raise ValueError(f"seed must be {r} or more distinct vertices, got {tuple(seed)}")
     for v in seed_t:
         if not (0 <= v < graph.n):
             raise ValueError(f"seed vertex {v} out of range for n={graph.n}")

@@ -216,6 +216,105 @@ def test_kernel_seed_validation():
         kern.run((0, 10), 2)
 
 
+@st.composite
+def _dense_kernel_cases(draw):
+    """A graph with n = 60-400 and mean degree 4-60, well above theta_2, r
+    and seeds of size r to 40 with k_stop values that also cut late: enough
+    row entries for runs to cross PeelingKernel's switch to numpy rounds."""
+    n = draw(st.integers(60, 400))
+    degree = draw(st.floats(4.0, 60.0))
+    g = X.sample_gnp(n, min(1.0, degree / (n - 1)), draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.sampled_from([2, 3, 4]))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(r, 40),
+                st.integers(0, 2**32 - 1),
+                st.one_of(st.none(), st.integers(0, n)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return g, r, runs
+
+
+def test_kernel_array_rounds_match_engine_bootstrap():
+    # seeds of several sizes run one after another on one kernel, so state
+    # left by numpy rounds must not leak into later runs on either path
+    handed_over, cut_in_array = [], []
+    array_rounds = X.PeelingKernel._array_rounds
+
+    def watched(self, *args):
+        handed_over.append(1)
+        out = array_rounds(self, *args)
+        cut_in_array.append(out[1])
+        return out
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_dense_kernel_cases())
+    def check(case):
+        g, r, runs = case
+        kern = X.PeelingKernel(g)
+        masks = bit_masks(g)
+        for size, draw_seed, k_stop in runs:
+            seed = np.random.default_rng(draw_seed).choice(g.n, size=size, replace=False)
+            want = _profile(bootstrap(g, tuple(seed.tolist()), r, masks))
+            levels, truncated = kern.run(seed, r, k_stop=k_stop)
+            cut = None if k_stop is None else next(
+                (t for t in range(1, len(want)) if want[t][0] > k_stop), None
+            )
+            if cut is None:
+                assert (levels, truncated) == (want, False)
+            else:
+                assert (levels, truncated) == (want[: cut + 1], True)
+
+    with mock.patch.object(X.PeelingKernel, "_array_rounds", watched):
+        check()
+    # the cases do reach the numpy rounds, and k_stop cuts inside them
+    assert len(handed_over) >= 50
+    assert sum(cut_in_array) >= 10
+
+
+def test_kernel_switch_follows_the_cost_model():
+    # the switch is max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
+    # frontier entries: at n = 1000, a seed of 127 row entries runs its
+    # round in Python and one of 128 is handed over at once
+    assert X.PeelingKernel(Graph(1000, []))._array_entries == 128
+    assert X.PeelingKernel(Graph(10**5, []))._array_entries == 10**5 // 32
+    star = [(0, w) for w in range(2, 66)] + [(1, w) for w in range(2, 65)]
+    below, at = Graph(1000, star), Graph(1000, star + [(1, 65)])
+    refuse = mock.patch.object(
+        X.PeelingKernel, "_array_rounds", side_effect=AssertionError("handed over")
+    )
+    with refuse:
+        assert X.PeelingKernel(below).run((0, 1), 2) == ([(2, 2), (65, 63)], False)
+        with pytest.raises(AssertionError, match="handed over"):
+            X.PeelingKernel(at).run((0, 1), 2)
+    assert X.PeelingKernel(at).run((0, 1), 2) == ([(2, 2), (66, 64)], False)
+    # a later frontier crosses too: the seed's 8 entries infect 2..5, whose
+    # 4 * 42 entries are handed over for the round that infects 6..45
+    fan = [(s, c) for s in (0, 1) for c in range(2, 6)]
+    fan += [(c, w) for c in range(2, 6) for w in range(6, 46)]
+    with refuse, pytest.raises(AssertionError, match="handed over"):
+        X.PeelingKernel(Graph(1000, fan)).run((0, 1), 2)
+    assert X.PeelingKernel(Graph(1000, fan)).run((0, 1), 2) == (
+        [(2, 2), (6, 4), (46, 40)], False
+    )
+
+
+def test_pki_probes_stay_on_the_python_rounds():
+    # criterion 11's k_stop = 12 probes at n = 10^5 read far fewer row
+    # entries a round than the switch of n // 32
+    cfg = X.ExperimentConfig(n=100_000, r=2, alpha=0.125, seeds_per_graph=1000)
+    args = (cfg.n, 2, cfg.p, 12, "random", 1000, 13, 0)
+    with mock.patch.object(
+        X.PeelingKernel, "_array_rounds", side_effect=AssertionError("handed over")
+    ):
+        profiles = X._seeded_trial(args)
+    assert sum(len(levels) > 1 for levels in profiles) > 0
+
+
 # ---------------------------------------------------------------------------
 # configuration and laws
 
@@ -653,6 +752,100 @@ def test_susceptibility_candidates_are_wedge_pairs():
 
 
 # ---------------------------------------------------------------------------
+# the triangle enumerator of the seed-edge sweep
+
+
+def _triangle_edges_oracle(graph):
+    """The wedges (a, b, c) whose pair a < b is an edge, as every
+    engine.wedge_pairs chunk filtered through the sorted edge keys: the
+    enumeration that _triangle_edges' degree-ordered one replaced."""
+    n = graph.n
+    us = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    mask = us < graph.indices
+    ekeys = us[mask] * n + graph.indices[mask]  # sorted: rows hold sorted columns
+    for pa, pb, pc in wedge_pairs(graph):
+        keys = pa * n + pb
+        pos = np.searchsorted(ekeys, keys)
+        ok = pos < ekeys.shape[0]
+        ok[ok] = ekeys[pos[ok]] == keys[ok]
+        yield pa[ok], pb[ok], pc[ok]
+
+
+def _wedge_list(chunks):
+    return [
+        wedge
+        for a, b, c in chunks
+        for wedge in zip(a.tolist(), b.tolist(), c.tolist())
+    ]
+
+
+@st.composite
+def _tied_graph_part(draw):
+    """Edges on vertices 0..size-1 of a small G(n, p), a K_n, a K_{s,t} or a
+    star: families where many vertices share a degree."""
+    kind = draw(st.sampled_from(["gnp", "complete", "bipartite", "star"]))
+    if kind == "gnp":
+        g = X.sample_gnp(
+            draw(st.integers(1, 30)),
+            draw(st.sampled_from([0.1, 0.3, 0.6, 0.9])),
+            draw(st.integers(0, 2**32 - 1)),
+        )
+        return g.n, list(g.edges())
+    if kind == "complete":
+        k = draw(st.integers(1, 12))
+        return k, list(itertools.combinations(range(k), 2))
+    if kind == "bipartite":
+        s, t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        return s + t, [(x, s + y) for x in range(s) for y in range(t)]
+    k = draw(st.integers(1, 15))
+    return k + 1, [(0, v) for v in range(1, k + 1)]
+
+
+@st.composite
+def _tied_graphs(draw):
+    """A disjoint union of one to four _tied_graph_part graphs, its vertices
+    relabelled by a random permutation."""
+    n, edges = 0, []
+    for size, part in draw(st.lists(_tied_graph_part(), min_size=1, max_size=4)):
+        edges += [(n + a, n + b) for a, b in part]
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_tied_graphs())
+def test_triangle_edges_match_the_wedge_filter(g):
+    chunks = list(X._triangle_edges(g))
+    assert all(
+        0 < a.shape[0] == b.shape[0] == c.shape[0]
+        and a.dtype == b.dtype == c.dtype == np.int64
+        for a, b, c in chunks
+    )
+    got = _wedge_list(chunks)
+    assert all(a < b for a, b, _ in got)
+    assert Counter(got) == Counter(_wedge_list(_triangle_edges_oracle(g)))
+
+
+def test_triangle_edges_chunk_arrives_before_the_whole_graph(monkeypatch):
+    # K_60 has C(60, 3) = 34,220 triangles, each found once as a pair of
+    # out-neighbors; the first chunk comes after only the first pairs
+    g = Graph(60, itertools.combinations(range(60), 2))
+    pulled = []
+    row_pairs = X.row_pairs
+
+    def counted(indptr, indices):
+        for chunk in row_pairs(indptr, indices):
+            pulled.append(chunk[0].shape[0])
+            yield chunk
+
+    monkeypatch.setattr(X, "row_pairs", counted)
+    a, b, c = next(X._triangle_edges(g))
+    assert len(pulled) == 1 and pulled[0] < math.comb(60, 3) // 10
+    assert a.shape[0] == 3 * pulled[0]  # every pair of out-neighbors is an edge
+
+
+# ---------------------------------------------------------------------------
 # the three-vertex screen of _spanning_pair
 
 
@@ -712,6 +905,77 @@ def test_path_stops_at_three_without_a_kernel_run(monkeypatch):
 
     monkeypatch.setattr(X.PeelingKernel, "run", no_run)
     assert X._spanning_pair(g, wedge_pairs(g)) == (False, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_dense_gnp(), screen_first=st.sampled_from([1, 2, 7, 32, 1 << 20]))
+def test_screen_slices_do_not_change_the_search(g, screen_first):
+    # slices of 1, 2, 4, ... wedges (or one slice a chunk) cut the chunks
+    # anywhere; both results must still match the oracle's
+    masks = bit_masks(g)
+    size = {
+        pair: len(bootstrap(g, pair, 2, masks).final)
+        for pair in itertools.combinations(range(g.n), 2)
+    }
+    spans = [pair for pair, s in size.items() if s == g.n]
+    with mock.patch.object(X, "SCREEN_FIRST", screen_first):
+        wedges = X._spanning_pair(g, wedge_pairs(g))
+        triangles = X._spanning_pair(g, X._triangle_edges(g))
+    assert wedges == ((True, g.n) if spans else (False, max(size.values(), default=2)))
+    assert triangles[0] == any(g.has_edge(a, b) for a, b in spans)
+
+
+def test_wedges_on_seen_vertices_share_a_run(monkeypatch):
+    # triangles {0, 1, 2} and {0, 1, 3} have five edges between them, all
+    # spreading to {0, 1, 2, 3}; their six wedges are linked through the
+    # pair (0, 1) and the two vertex triples, so they need at most two runs
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    runs = []
+    run = X.PeelingKernel.run
+
+    def counted(self, seed, *args, **kwargs):
+        runs.append(seed)
+        return run(self, seed, *args, **kwargs)
+
+    monkeypatch.setattr(X.PeelingKernel, "run", counted)
+    assert X._spanning_pair(g, X._triangle_edges(g)) == (False, 4)
+    assert 1 <= len(runs) <= 2
+    # the wedge source adds the pair (2, 3), whose centres are 0 and 1
+    runs.clear()
+    assert X._spanning_pair(g, wedge_pairs(g)) == (False, 4)
+    assert 1 <= len(runs) <= 3
+
+
+def test_wedges_sharing_a_centre_and_an_endpoint_are_both_probed():
+    # (1, 2) and (1, 3) share the centre 0: {0, 1, 2} grows only by 4,
+    # {0, 1, 3} by 5, 6 and 7; a search that took the wedge (1, 3, 0) for
+    # (1, 2, 0), as both hold 1 and 0, reported (False, 4)
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (3, 5)]
+    g = Graph(9, edges + [(3, 6), (5, 6), (5, 7), (6, 7)])
+    assert X._spanning_pair(g, wedge_pairs(g)) == (False, 6)
+
+
+def test_first_slice_is_probed_before_the_rest_is_screened(monkeypatch):
+    # in K_40 the first wedge spans: one screen of SCREEN_FIRST wedges and
+    # one kernel run, though the first chunk holds 741 wedges
+    g = Graph(40, itertools.combinations(range(40), 2))
+    screened = []
+    round_infects = X._round_infects
+
+    def counted(graph, members, t):
+        screened.append(members[0].shape[0])
+        return round_infects(graph, members, t)
+
+    monkeypatch.setattr(X, "_round_infects", counted)
+    assert next(wedge_pairs(g))[0].shape[0] == 741
+    assert X._spanning_pair(g, wedge_pairs(g)) == (True, 40)
+    assert screened == [X.SCREEN_FIRST]
+    # in two disjoint K_20 nothing spans, and the slices double
+    screened.clear()
+    k20 = list(itertools.combinations(range(20), 2))
+    g = Graph(40, k20 + [(a + 20, b + 20) for a, b in k20])
+    assert X._spanning_pair(g, wedge_pairs(g)) == (False, 20)
+    assert screened[:4] == [X.SCREEN_FIRST * 2**i for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
