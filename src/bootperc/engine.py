@@ -2,15 +2,17 @@
 
 Graph keeps a simple undirected graph in CSR arrays (row pointers and
 sorted neighbor lists); the r-neighbour percolation kernel that runs on it
-is experiments.PeelingKernel.  The CSR build takes pairs u < v in strictly
-increasing u-major order, the order the G(n,p) sampler draws them in, and
-raises ValueError for pairs out of it: each row is then its upper half as
-given, after its lower half, which one sort of the m keys v n + u orders.
-Graph() sorts its deduplicated pairs into that order; Graph.from_arrays
-takes them as they come.  graph_bootstrap_closure, the paper's K_k
-application, repeatedly adds any missing edge whose endpoints share a
-(k-2)-clique of common neighbors; it works on packed bit-set rows (Python
-integers), built from the CSR arrays on first use.
+is experiments.PeelingKernel.  The CSR build takes the edges as linear pair
+indices idx(u, v) = u(2n-u-1)/2 + v-u-1 of the pairs u < v, strictly
+increasing, which is the order the G(n,p) sampler draws them in, and
+raises ValueError for indices out of it: one search of the row starts
+gives each row's upper half as a run of the indices, and its lower half
+comes from one sort of the m keys v n + u.  Graph() encodes its sorted,
+deduplicated pairs; Graph.from_arrays takes the indices as they come.
+graph_bootstrap_closure, the paper's K_k application, repeatedly adds any
+missing edge whose endpoints share a (k-2)-clique of common neighbors; it
+works on packed bit-set rows (Python integers), built from the CSR arrays
+on first use.
 
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
 seed search draws its candidates from wedges (a, b, c), pairs a < b with a
@@ -63,18 +65,23 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             seen.add((u, v) if u < v else (v, u))
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-        self.indptr, self.indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
+        u, v = pairs[:, 0], pairs[:, 1]
+        self.indptr, self.indices = _csr_from_pair_indices(
+            n, u * (2 * n - u - 1) // 2 + v - u - 1
+        )
         self._masks = None
 
     @classmethod
-    def from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Graph from prevalidated edge arrays: pairs u < v < n in strictly
-        increasing u-major order, as the G(n,p) sampler draws them (so no
-        repeats).  Raises ValueError for pairs out of that order."""
+    def from_arrays(cls, n: int, idx: np.ndarray) -> "Graph":
+        """Graph on n vertices from the linear indices idx(u, v) =
+        u(2n-u-1)/2 + v-u-1 of its edges u < v, strictly increasing, as the
+        G(n,p) sampler draws them.  Raises ValueError for indices out of
+        that order or out of [0, n(n-1)/2).  An int64 idx is overwritten:
+        the build keeps the edges' v in its buffer."""
         g = cls.__new__(cls)
         g.n = n
-        g.indptr, g.indices = _csr_from_pairs(
-            n, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        g.indptr, g.indices = _csr_from_pair_indices(
+            n, np.asarray(idx, dtype=np.int64)
         )
         g._masks = None
         return g
@@ -107,34 +114,45 @@ class Graph:
         return self._masks
 
 
-def _csr_from_pairs(n, u, v):
+def _csr_from_pair_indices(n, idx):
     """CSR arrays (indptr, indices) of the graph on n vertices whose edges
-    are the pairs (u[j], v[j]), given with u < v in strictly increasing
-    u-major order (keys u n + v), which is row u's upper half in order.
-    Raises ValueError for pairs out of that order or out of range.
+    are the pairs u < v with linear indices idx, strictly increasing (see
+    Graph.from_arrays); raises ValueError otherwise.  idx's buffer ends up
+    holding the pairs' v.
 
-    Only the lower halves need sorting: the keys v n + u order them by row
-    and within each row.  Each row is then its lower half followed by its
-    upper half, interleaved by one mask over the 2m entries."""
-    m = u.shape[0]
-    if m:
-        key = u * n + v
-        if not (
-            u[0] >= 0 and v.max() < n and (u < v).all() and (key[1:] > key[:-1]).all()
-        ):
-            raise ValueError(
-                "edges must be pairs u < v < n in strictly increasing u-major order"
-            )
-        del key
-    upper = np.bincount(u, minlength=n)
+    Row u's pairs are the run of idx from its row start u(2n-u-1)/2 to the
+    next one, so one search of the row starts gives the upper halves in
+    order, and v = idx - (row start - u - 1).  Only the lower halves need
+    sorting: the keys v n + u order them by row and within each row.  Each
+    row is then its lower half followed by its upper half, interleaved by
+    one mask over the 2m entries."""
+    m = idx.shape[0]
+    if m and not (
+        idx[0] >= 0 and idx[-1] < n * (n - 1) // 2 and (idx[1:] > idx[:-1]).all()
+    ):
+        raise ValueError(
+            "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
+        )
+    rows = np.arange(n + 1, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # row n's is n(n-1)/2
+    ends = idx.searchsorted(row_start)
+    upper = ends[1:] - ends[:-1]
+    rows = rows[:-1]
+    low = (row_start[:-1] - rows - 1).repeat(upper)
+    v = np.subtract(idx, low, out=idx)
     lower = np.bincount(v, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(upper + lower, out=indptr[1:])
-    low = v * n
-    low += u
+    np.multiply(v, n, out=low)
+    low += rows.repeat(upper)
     low.sort()
     np.remainder(low, n, out=low)
-    is_low = np.tile([True, False], n).repeat(np.stack((lower, upper), axis=1).ravel())
+    halves = np.empty(2 * n, dtype=np.int64)  # row u's lower, then upper size
+    halves[::2] = lower
+    halves[1::2] = upper
+    is_low = np.zeros(2 * n, dtype=bool)
+    is_low[::2] = True
+    is_low = is_low.repeat(halves)
     indices = np.empty(2 * m, dtype=np.int64)
     indices[is_low] = low
     del low

@@ -1,12 +1,11 @@
 """G(n,p) Monte Carlo harness.
 
 Sampling uses geometric skipping over linear pair indices, so the expected
-work is O(n^2 p).  The indices come out sorted, so one search of the row
-starts decodes them into pairs u < v in u-major order, the order
-engine.Graph.from_arrays takes.  Sweeps over alpha reuse one sample per
-trial through uniform edge marks: the subgraph at probability p keeps the
-edges with mark < p, which makes monotonicity in p literal rather than
-statistical.
+work is O(n^2 p).  The indices come out sorted, the order
+engine.Graph.from_arrays builds the CSR arrays from.  Sweeps over alpha
+reuse one sample per trial through uniform edge marks: the subgraph at
+probability p keeps the edges with mark < p, which makes monotonicity in p
+literal rather than statistical.
 
 Percolations run on a peeling kernel.  Its per-vertex stamps and counters
 cost O(n) once per graph; a run costs only the degrees of the vertices it
@@ -20,15 +19,15 @@ decides for many sets S at a time whether a t-bootstrap round from S
 infects anything: whether some vertex outside S has t neighbors in S.
 
 Two trial functions carry every estimate: _seeded_trial samples one graph,
-draws its seeds and returns each seed's level profile, for the (k, i)
-visit and terminal frequencies; a seed whose first round infects nothing
-(the screen with S the seed and t = r) has the profile [(r, r)] and runs
-no kernel.  _marked_trial samples one marked graph and runs the one r = 2
+draws its seeds (_draw_seeds, all of them from one block of random words)
+and returns each seed's level profile, for the (k, i) visit and terminal
+frequencies; a seed whose first round infects nothing (the screen with S
+the seed and t = r) has the profile [(r, r)] and runs no kernel.  _marked_trial samples one marked graph and runs the one r = 2
 search, _spanning_pair, at each alpha of a sweep.  The two sweeps differ
 only in its candidate source: the susceptibility sweep takes every
 engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only those whose
-pair is an edge (_triangle_edges, which finds each triangle once, in
-degree order).  Most pairs stop at three vertices, the pair and its common
+pair is an edge (_triangle_edges, one per triangle, found in degree
+order).  Most pairs stop at three vertices, the pair and its common
 neighbor; the search screens those out (S = {a, b, c}, t = 2) in slices
 that start small and double, probing each slice before it screens the
 next, and runs the kernel only on the pairs that can grow past them.
@@ -39,7 +38,6 @@ carry no timestamps, so identical configs produce byte-identical files.
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional
@@ -80,18 +78,6 @@ ARRAY_ROUND_N_PER_ENTRY = 32
 # sampling
 
 
-def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # linear index over pairs u < v in u-major order:
-    # idx(u, v) = u(2n-u-1)/2 + (v-u-1); idx must be sorted, so row u's
-    # pairs are the run of idx between its row start and the next one
-    rows = np.arange(n, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2
-    counts = np.diff(idx.searchsorted(row_start), append=idx.shape[0])
-    v = (row_start - rows - 1).repeat(counts)
-    np.subtract(idx, v, out=v)
-    return rows.repeat(counts), v
-
-
 def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """The sorted linear indices of the pairs G(n, p) keeps."""
     total = n * (n - 1) // 2
@@ -104,7 +90,7 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean = total * p
     batch = int(mean + 5 * math.sqrt(mean + 1) + 16)
     while pos < total:
-        idx = rng.geometric(p, size=batch).astype(np.int64, copy=False)
+        idx = _geometric(rng, p, batch)
         # a gap past the last pair ends the sample; clipping it there keeps
         # the running sums from wrapping at tiny p, where draws reach 2^63 - 1
         np.minimum(idx, total + 1, out=idx)
@@ -117,32 +103,92 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
+def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """rng.geometric(p, size) as int64, but for draws of 2^63 - 1, which
+    come out as the largest double below 2^63.
+
+    For p < 1/3 numpy draws each value by inversion, ceil(-E / log1p(-p))
+    with E a standard exponential, capped at 2^63 - 1; the same arithmetic
+    on rng.standard_exponential(size), which reads the same stream, takes
+    a few whole-array passes instead of a call per value."""
+    if p >= 1 / 3:
+        return rng.geometric(p, size=size)
+    gaps = rng.standard_exponential(size=size)
+    with np.errstate(over="ignore"):  # inf where p is below about 1e-307
+        gaps /= -math.log1p(-p)
+    np.ceil(gaps, out=gaps)
+    np.minimum(gaps, np.nextafter(2.0**63, 0.0), out=gaps)
+    return gaps.astype(np.int64)
+
+
 def sample_gnp(n: int, p: float, rng_seed: int, trial_index: int = 0) -> Graph:
     """One G(n,p) sample; each unordered pair appears independently."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
-    return Graph.from_arrays(n, *_sample_edges(n, p, trial_rng(rng_seed, trial_index)))
+    return Graph.from_arrays(
+        n, _sample_pair_indices(n, p, trial_rng(rng_seed, trial_index))
+    )
 
 
 def sample_gnp_marked(
     n: int, p_max: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges of G(n, p_max) with independent uniform(0, p_max) marks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted linear pair indices of G(n, p_max) (as
+    engine.Graph.from_arrays takes them) with independent uniform(0, p_max)
+    marks.
 
     Keeping the edges with mark < p yields G(n, p) for any p <= p_max,
     coupled monotonically across p.
     """
     if not 0.0 < p_max <= 1.0:
         raise ValueError(f"p_max must lie in (0,1], got {p_max}")
-    u, v = _sample_edges(n, p_max, rng)
-    marks = rng.uniform(0.0, p_max, size=u.shape[0])
-    return u, v, marks
+    idx = _sample_pair_indices(n, p_max, rng)
+    marks = rng.uniform(0.0, p_max, size=idx.shape[0])
+    return idx, marks
 
 
-def _sample_edges(n, p, rng):
-    return _pairs_from_linear(n, _sample_pair_indices(n, p, rng))
+def _draw_seeds(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
+    """count seeds, row j the j-th of count calls rng.choice(n, size=r,
+    replace=False), leaving rng as those calls leave it.
+
+    numpy draws such a choice by Floyd's algorithm, one bounded draw on
+    [0, j] for each j = n-r..n-1, then shuffles it, one bounded draw on
+    [0, i] for each i = r-1..1; each bounded draw is Lemire's on one 32-bit
+    word w, (w (j + 1)) >> 32, unless the low half of w (j + 1) is below
+    2^32 mod (j + 1), when it takes another word.  So the seeds come from
+    one block of count (2r - 1) words, all drawn at once, column by column.
+    Where a word would be rejected, or numpy takes another path (n - r < 1,
+    which draws nothing for j = 0; n >= 2^32; its tail shuffle, for
+    n > 10000 and r > n // 50), rng is put back and the calls are made.
+    """
+    if 1 <= n - r and n < 1 << 32 and not (n > 10000 and r > n // 50):
+        state = rng.bit_generator.state
+        words = rng.integers(
+            0, 2**32 - 1, endpoint=True, size=(count, 2 * r - 1), dtype=np.uint32
+        ).astype(np.uint64)
+        seeds = np.empty((count, r), dtype=np.int64)
+        rows = np.arange(count)
+        for col, w in enumerate(words.T):
+            # Floyd's draws, then the shuffle's
+            bound = n - r + col if col < r else 2 * r - 1 - col
+            w *= bound + 1
+            if ((w & 0xFFFFFFFF) < (1 << 32) % (bound + 1)).any():
+                rng.bit_generator.state = state
+                break
+            w >>= 32
+            pick = w.astype(np.int64)
+            if col < r:
+                seen = (seeds[:, :col] == pick[:, None]).any(axis=1)
+                seeds[:, col] = np.where(seen, bound, pick)
+            else:
+                swap = seeds[rows, pick]
+                seeds[rows, pick] = seeds[:, bound]
+                seeds[:, bound] = swap
+        else:
+            return seeds
+    return np.array([rng.choice(n, size=r, replace=False) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +378,12 @@ def _seeded_trial(args) -> list:
     profile [(r, r)] without a kernel run."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
-    graph = Graph.from_arrays(n, *_sample_edges(n, p, rng))
+    graph = Graph.from_arrays(n, _sample_pair_indices(n, p, rng))
     if policy == "all":
         flat = chain.from_iterable(combinations(range(n), r))
         seeds = np.fromiter(flat, dtype=np.int64).reshape(-1, r)
     else:
-        seeds = np.array(
-            [rng.choice(n, size=r, replace=False) for _ in range(seeds_per_graph)]
-        )
+        seeds = _draw_seeds(rng, n, r, seeds_per_graph)
     grows = _round_infects(graph, seeds.T, r)
     kernel = PeelingKernel(graph)
     return [
@@ -378,6 +422,8 @@ def _frequencies(observations) -> tuple[dict, int]:
 
 def _map_trials(fn, argses, workers: int):
     if workers and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunk = max(1, len(argses) // (workers * 8))
             yield from ex.map(fn, argses, chunksize=chunk)
@@ -505,7 +551,8 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     the largest spread to 3.  The other wedges are probed from their pair,
     which spreads as {a, b, c} does, since c joins in the first round; so
     a wedge is skipped if its pair or its three vertices were seen before
-    (the three wedges of a triangle share one run).  The screen takes the
+    (wedge_pairs yields each triangle's three wedges, which share one run;
+    _triangle_edges yields one of them).  The screen takes the
     wedges in slices of SCREEN_FIRST, then twice as many, and so on (never
     past a chunk), and each slice's pairs are probed before the next slice
     is screened, so a search whose first pairs span screens little.  Both
@@ -576,9 +623,10 @@ def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
 
 
 def _triangle_edges(graph: Graph):
-    """The wedges (a, b, c) whose pair a < b is an edge, as chunks of arrays
-    (a, b, c): a seed edge needs a common neighbor for its first round.
-    Such a wedge is a triangle with one of its vertices as centre.
+    """One wedge (a, b, c) per triangle {a, b, c}, a < b, as chunks of
+    arrays (a, b, c): a seed edge needs a common neighbor for its first
+    round, so it lies on a triangle, and every edge of a triangle spreads as
+    the triangle does (its third vertex joins in the first round).
 
     Triangles are found in degree order.  Each edge points from the lower
     to the higher (degree, id) rank, and a triangle {x, y, z} with x lowest
@@ -586,8 +634,7 @@ def _triangle_edges(graph: Graph):
     edge.  The pairs of out-neighbors, engine.row_pairs of the oriented
     rows in its growing chunks, are about a third of all wedges, and each
     is looked up in the sorted keys u n + v of the graph's 2m row entries.
-    A triangle found at x gives the wedges (y, z, x), (x, y, z) and
-    (x, z, y), each pair put in order a < b.
+    A triangle found at x gives the wedge (y, z, x).
     """
     n, indptr, indices = graph.n, graph.indptr, graph.indices
     deg = indptr[1:] - indptr[:-1]
@@ -601,14 +648,7 @@ def _triangle_edges(graph: Graph):
         pos = keys.searchsorted(key)
         tri = keys[pos] == key
         if tri.any():
-            x, y, z = x[tri], y[tri], z[tri]
-            lo_y, hi_y = np.minimum(x, y), np.maximum(x, y)
-            lo_z, hi_z = np.minimum(x, z), np.maximum(x, z)
-            yield (
-                np.concatenate((y, lo_y, lo_z)),
-                np.concatenate((z, hi_y, hi_z)),
-                np.concatenate((x, z, y)),
-            )
+            yield y[tri], z[tri], x[tri]
 
 
 def _marked_trial(args) -> list:
@@ -620,14 +660,13 @@ def _marked_trial(args) -> list:
     too with the same outcome (True, n), and those graphs are not built.
     """
     candidates, n, ps, rng_seed, trial_index = args
-    u, v, marks = sample_gnp_marked(n, ps[-1], trial_rng(rng_seed, trial_index))
+    idx, marks = sample_gnp_marked(n, ps[-1], trial_rng(rng_seed, trial_index))
     outcomes = []
     for p in ps:
         if outcomes and outcomes[-1][0]:
             outcomes.append(outcomes[-1])
         else:
-            keep = marks < p
-            graph = Graph.from_arrays(n, u[keep], v[keep])
+            graph = Graph.from_arrays(n, idx[marks < p])
             outcomes.append(_spanning_pair(graph, candidates(graph)))
     return outcomes
 

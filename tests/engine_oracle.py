@@ -8,10 +8,16 @@ plain rule for every r (an r-set can only grow if its members share a
 neighbour), so it shares no code with the searches it checks.  Infected
 sets are Python integers and infected neighbours are counted with
 popcount.
+
+It also holds the CSR build that `Graph.from_arrays` replaced, as its
+oracle: the decode of sorted linear pair indices into pairs u < v, and a
+lexsort over both directions of the pairs.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 DEFAULT_WITNESS_BUDGET = 1_000_000  # parent-set trials in hat_bootstrap
 
@@ -258,3 +264,30 @@ def hat_bootstrap(graph, seed, r: int, node_budget: int = DEFAULT_WITNESS_BUDGET
         witness_edges=sorted(snapshots[t_best]),
         lower_bound_only=exhausted_budget,
     )
+
+
+# ----------------------------------------------------------------------
+# the CSR build from linear pair indices, the slow way
+# ----------------------------------------------------------------------
+
+def pairs_from_linear(n: int, idx):
+    """Pairs (u, v), u < v, of sorted linear pair indices, idx(u, v) =
+    u(2n-u-1)/2 + v-u-1: row u's pairs are the run of idx between its row
+    start and the next one."""
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    counts = np.diff(idx.searchsorted(row_start), append=idx.shape[0])
+    v = idx - (row_start - rows - 1).repeat(counts)
+    return rows.repeat(counts), v
+
+
+def csr_by_lexsort(n: int, u, v):
+    """CSR arrays (indptr, indices) of the pairs (u, v), by lexsort over
+    both edge directions and np.add.at degrees."""
+    heads = np.concatenate([u, v])
+    tails = np.concatenate([v, u])
+    order = np.lexsort((tails, heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, tails[order].astype(np.int64)

@@ -24,8 +24,10 @@ from bootperc.engine import (
 from engine_oracle import (
     bootstrap,
     closure_edges,
+    csr_by_lexsort,
     has_seed,
     hat_bootstrap,
+    pairs_from_linear,
     spanning_set,
 )
 
@@ -464,25 +466,20 @@ def test_graph_io_round_trip():
     assert json.loads(first_line) == {"n": 5, "edges": 6}
 
 
+def _pair_indices(n, u, v):
+    """Linear indices idx(u, v) = u(2n-u-1)/2 + v-u-1 of pairs u < v."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
 def test_from_arrays_matches_list_construction():
     rng = np.random.default_rng(29)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.2]
     u = np.array([p[0] for p in pairs])
     v = np.array([p[1] for p in pairs])
     g1 = Graph(20, pairs)
-    g2 = Graph.from_arrays(20, u, v)
+    g2 = Graph.from_arrays(20, _pair_indices(20, u, v))
     assert sorted(g1.edges()) == sorted(g2.edges())
-
-
-def _csr_reference(n, u, v):
-    """CSR by lexsort over both edge directions and np.add.at degrees."""
-    heads = np.concatenate([u, v])
-    tails = np.concatenate([v, u])
-    order = np.lexsort((tails, heads))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads[order] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails[order].astype(np.int64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,11 +500,11 @@ def test_csr_from_pairs_matches_lexsort_reference(n, density, isolated, order_se
     ]
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
-    indptr, indices = engine._csr_from_pairs(n, u, v)
-    want_ptr, want_idx = _csr_reference(n, u, v)
-    assert indptr.dtype == indices.dtype == np.int64
-    assert np.array_equal(indptr, want_ptr)
-    assert np.array_equal(indices, want_idx)
+    g = Graph.from_arrays(n, _pair_indices(n, u, v))
+    want_ptr, want_idx = csr_by_lexsort(n, u, v)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, want_ptr)
+    assert np.array_equal(g.indices, want_idx)
     # Graph() takes its edges in any order and direction, with repeats
     listed = pairs + pairs[: len(pairs) // 3]
     rng.shuffle(listed)
@@ -517,21 +514,81 @@ def test_csr_from_pairs_matches_lexsort_reference(n, density, isolated, order_se
     assert np.array_equal(g.indices, want_idx)
 
 
+@st.composite
+def _pair_index_sets(draw):
+    """n and a sorted, repeat-free int64 array of linear pair indices in
+    [0, n(n-1)/2): empty, every pair, or a random subset, often with whole
+    rows (and so vertices) left out."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 400)))
+    total = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["empty", "all", "subset", "subset"]))
+    if kind == "empty" or total == 0:
+        return n, np.empty(0, dtype=np.int64)
+    if kind == "all":
+        return n, np.arange(total, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.flatnonzero(rng.random(total) < draw(st.sampled_from([0.01, 0.2, 0.7])))
+    u, _ = pairs_from_linear(n, idx)
+    alone = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    return n, idx[~alone[u]].astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pair_index_sets())
+def test_from_arrays_matches_decode_and_lexsort(case):
+    n, idx = case
+    u, v = pairs_from_linear(n, idx)
+    assert (0 <= u).all() and (u < v).all() and (v < n).all()
+    assert np.array_equal(_pair_indices(n, u, v), idx)
+    want_ptr, want_idx = csr_by_lexsort(n, u, v)
+    g = Graph.from_arrays(n, idx.copy())
+    assert g.n == n and g.m == idx.shape[0]
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, want_ptr)
+    assert np.array_equal(g.indices, want_idx)
+    assert list(g.edges()) == list(zip(u.tolist(), v.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_pair_index_sets(),
+    defect=st.sampled_from(["repeated", "decreasing", "negative", "past_total"]),
+    at=st.integers(0, 2**32 - 1),
+)
+def test_from_arrays_rejects_pair_indices_out_of_order_or_range(case, defect, at):
+    n, idx = case
+    total = n * (n - 1) // 2
+    if defect == "repeated":
+        if not idx.shape[0]:
+            idx = np.array([0 if total else -1], dtype=np.int64)
+        j = at % idx.shape[0]
+        idx = np.insert(idx, j, idx[j])
+    elif defect == "decreasing":
+        if idx.shape[0] < 2:
+            idx = np.array([1, 0], dtype=np.int64)
+        else:
+            j = at % (idx.shape[0] - 1)
+            idx[j], idx[j + 1] = idx[j + 1], idx[j]
+    elif defect == "negative":
+        idx = np.concatenate(([-1 - at % 3], idx)).astype(np.int64)
+    else:
+        idx = np.concatenate((idx, [total + at % 3])).astype(np.int64)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Graph.from_arrays(n, idx)
+
+
 @pytest.mark.parametrize(
     "n, u, v",
     [
-        (5, [0, 2], [1, 1]),  # flipped
+        (5, [3, 4], [4, 3]),  # flipped: (4, 3) comes before (3, 4)
         (5, [0, 1, 0], [1, 2, 3]),  # unsorted rows
         (5, [1, 1], [3, 2]),  # unsorted within a row
         (5, [0, 1, 1], [1, 2, 2]),  # repeated
-        (5, [0], [0]),  # self-loop
-        (5, [0, 1], [1, 5]),  # out of range
-        (5, [-1, 0], [2, 1]),  # negative
+        (5, [0], [0]),  # self-loop: index -1
+        (5, [0, 3], [1, 5]),  # out of range: index n(n-1)/2
+        (5, [-1, 0], [0, 1]),  # negative
     ],
 )
 def test_csr_from_pairs_rejects_pairs_out_of_order(n, u, v):
-    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
-    with pytest.raises(ValueError, match="u-major order"):
-        engine._csr_from_pairs(n, u, v)
-    with pytest.raises(ValueError, match="u-major order"):
-        Graph.from_arrays(n, u, v)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Graph.from_arrays(n, _pair_indices(n, u, v))

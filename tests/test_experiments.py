@@ -14,20 +14,33 @@ from bootperc.cli import _csv_text, _json_text
 from bootperc.counting import TableBudgetExceeded
 from bootperc.engine import Graph, wedge_pairs
 from bootperc.thresholds import critical_alpha, theta
-from engine_oracle import bit_masks, bootstrap, has_seed
+from engine_oracle import bit_masks, bootstrap, has_seed, pairs_from_linear
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
+def _upper_pairs(graph):
+    """The pairs (u, v), u < v, of a graph's CSR rows, in u-major order."""
+    u = np.arange(graph.n, dtype=np.int64).repeat(np.diff(graph.indptr))
+    upper = u < graph.indices
+    return u[upper], graph.indices[upper]
+
+
+def _pair_indices(n, u, v):
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
 def test_pair_inversion_exact_small():
     for n in (2, 3, 5, 17, 100):
         total = n * (n - 1) // 2
-        idx = np.arange(total, dtype=np.int64)
-        u, v = X._pairs_from_linear(n, idx)
-        brute = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        assert list(zip(u.tolist(), v.tolist())) == brute
+        for decode in (pairs_from_linear, lambda n, idx: _upper_pairs(
+            Graph.from_arrays(n, idx.copy())
+        )):
+            u, v = decode(n, np.arange(total, dtype=np.int64))
+            brute = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            assert list(zip(u.tolist(), v.tolist())) == brute
 
 
 def test_pair_inversion_large_n_extremes():
@@ -37,10 +50,9 @@ def test_pair_inversion_large_n_extremes():
         [0, 1, n - 2, n - 1, total // 3, total // 2, total - 2, total - 1],
         dtype=np.int64,
     )
-    u, v = X._pairs_from_linear(n, idx)
+    u, v = _upper_pairs(Graph.from_arrays(n, idx.copy()))
     assert (u < v).all() and (u >= 0).all() and (v < n).all()
-    fwd = u * (2 * n - u - 1) // 2 + (v - u - 1)
-    assert np.array_equal(fwd, idx)
+    assert np.array_equal(_pair_indices(n, u, v), idx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,24 +62,26 @@ def test_pair_inversion_large_n_extremes():
 )
 def test_pair_inversion_matches_forward_formula(n, idx_seed):
     # u-major order puts row u's pairs (u, u+1) .. (u, n-1) at linear
-    # indices u(2n-u-1)/2 .. u(2n-u-1)/2 + n-u-2
+    # indices u(2n-u-1)/2 .. u(2n-u-1)/2 + n-u-2; the CSR build decodes
+    # them as the decode oracle does
     total = n * (n - 1) // 2
     rows = np.arange(n - 1, dtype=np.int64)
     first = rows * (2 * n - rows - 1) // 2
     last = first + (n - rows - 2)
-    assert [a.tolist() for a in X._pairs_from_linear(n, first)] == [
-        rows.tolist(), (rows + 1).tolist()
-    ]
-    assert [a.tolist() for a in X._pairs_from_linear(n, last)] == [
-        rows.tolist(), [n - 1] * (n - 1)
-    ]
+    for ends, v_want in ((first, rows + 1), (last, [n - 1] * (n - 1))):
+        for decode in (pairs_from_linear, lambda n, idx: _upper_pairs(
+            Graph.from_arrays(n, idx.copy())
+        )):
+            u, v = decode(n, ends)
+            assert [u.tolist(), v.tolist()] == [rows.tolist(), list(v_want)]
     rng = np.random.default_rng(idx_seed)
-    # sorted, as the sampler draws them, with repeats
-    idx = np.sort(np.concatenate([first, last, rng.integers(0, total, size=1000)]))
-    u, v = X._pairs_from_linear(n, idx)
+    # sorted and repeat-free, as the sampler draws them
+    idx = np.unique(np.concatenate([first, last, rng.integers(0, total, size=1000)]))
+    u, v = _upper_pairs(Graph.from_arrays(n, idx.copy()))
     assert u.dtype == v.dtype == np.int64
     assert (0 <= u).all() and (u < v).all() and (v < n).all()
-    assert np.array_equal(u * (2 * n - u - 1) // 2 + (v - u - 1), idx)
+    assert np.array_equal(_pair_indices(n, u, v), idx)
+    assert all(np.array_equal(a, b) for a, b in zip((u, v), pairs_from_linear(n, idx)))
 
 
 def test_sample_gnp_p_zero_and_one():
@@ -96,6 +110,31 @@ def test_sample_pair_indices_strictly_increasing(n, p):
         assert idx.dtype == np.int64
         assert (np.diff(idx) > 0).all()
         assert idx.shape[0] == 0 or 0 <= idx[0] <= idx[-1] < total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from(
+            [1e-320, 1e-300, 1e-19, 1e-9, 0.01, 1 / 3, 0.5, 0.999, 1.0]
+            + [np.nextafter(1 / 3, 0.0), np.nextafter(1 / 3, 1.0)]
+        ),
+        st.floats(1e-12, 1.0),
+        st.floats(1e-300, 1e-12),
+    ),
+    size=st.integers(0, 3000),
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+def test_geometric_equals_numpy_draws(p, size, key):
+    key = np.array(key, dtype=np.uint64)
+    gens = [np.random.Generator(np.random.Philox(key=key)) for _ in range(2)]
+    got = X._geometric(gens[0], p, size)
+    want = gens[1].geometric(p, size=size)
+    assert got.dtype == want.dtype == np.int64
+    top = np.iinfo(np.int64).max
+    # draws of 2^63 - 1 come out as the largest double below 2^63
+    assert np.array_equal(got, np.where(want == top, 2**63 - 1024, want))
+    assert gens[0].integers(0, 2**63) == gens[1].integers(0, 2**63)
 
 
 def test_sample_gnp_edge_count_concentration():
@@ -128,8 +167,9 @@ def test_marked_sample_coupling_is_monotone():
     from bootperc.branching import trial_rng
 
     rng = trial_rng(3, 0)
-    u, v, marks = X.sample_gnp_marked(200, 0.2, rng)
-    assert marks.shape == u.shape
+    idx, marks = X.sample_gnp_marked(200, 0.2, rng)
+    assert marks.shape == idx.shape
+    assert (np.diff(idx) > 0).all() and 0 <= idx[0] and idx[-1] < 200 * 199 // 2
     lo = marks < 0.05
     hi = marks < 0.2
     assert np.all(hi[lo])
@@ -490,7 +530,7 @@ def _seeded_trial_oracle(args) -> list:
     runs the kernel."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
-    graph = Graph.from_arrays(n, *X._sample_edges(n, p, rng))
+    graph = Graph.from_arrays(n, X._sample_pair_indices(n, p, rng))
     kernel = X.PeelingKernel(graph)
     seeds = (
         itertools.combinations(range(n), r)
@@ -541,6 +581,79 @@ def test_seed_screen_runs_the_kernel_only_on_seeds_that_grow(monkeypatch, r, n, 
         profiles = X._seeded_trial((n, r, p, None, "all", 1, 9, t))
         assert len(runs) == sum(len(levels) > 1 for levels in profiles)
         assert len(profiles) > len(runs) > 0
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its choice calls."""
+
+    choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(2, 6),
+    n=st.one_of(
+        st.sampled_from(
+            [0, 1, 9_999, 10_000, 10_001, 10_002, 100_000, 2**31 + 1, 2**32 - 1,
+             2**32, 2**32 + 1]
+        ),
+        st.integers(0, 400),
+        st.integers(0, 10**7),
+    ),
+    count=st.integers(1, 400),
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    skip=st.integers(0, 3),
+)
+def test_draw_seeds_equals_one_choice_call_per_seed(r, n, count, key, skip):
+    # n = r and n = r + 1 come from the small offsets; skip leaves the
+    # generator mid-way through a 64-bit word, as other draws may
+    n = n if n >= r + 2 else r + n % 2
+    key = np.array(key, dtype=np.uint64)
+    gens = [_CountingGenerator(np.random.Philox(key=key)) for _ in range(3)]
+    for gen in gens:
+        gen.integers(0, 2**32 - 1, endpoint=True, size=skip, dtype=np.uint32)
+    got = X._draw_seeds(gens[0], n, r, count)
+    want = np.array([gens[1].choice(n, size=r, replace=False) for _ in range(count)])
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (count, r)
+    assert np.array_equal(got, want)
+    assert repr(gens[0].bit_generator.state) == repr(gens[1].bit_generator.state)
+    assert gens[0].integers(0, 2**63) == gens[1].integers(0, 2**63)
+    # one block of 2r - 1 words a seed, drawn on [0, j] for j = n-r..n-1,
+    # then on [0, i] for i = r-1..1, unless numpy takes another path or
+    # Lemire's method rejects a word: (w (j + 1)) mod 2^32 < 2^32 mod (j + 1)
+    bounds = [n - r + c for c in range(r)] + list(range(r - 1, 0, -1))
+    words = gens[2].integers(
+        0, 2**32 - 1, endpoint=True, size=(count, 2 * r - 1), dtype=np.uint32
+    )
+    loop = (
+        n - r < 1
+        or n >= 2**32
+        or (n > 10000 and r > n // 50)
+        or any(
+            w * (j + 1) % 2**32 < 2**32 % (j + 1)
+            for row in words.tolist()
+            for w, j in zip(row, bounds)
+        )
+    )
+    assert gens[0].choices == (count if loop else 0)
+
+
+def test_draw_seeds_falls_back_where_half_the_words_reject():
+    # at n = 2^31 + 1 about half of the words for j = n - 1 are rejected
+    n, r = 2**31 + 1, 2
+    for t in range(5):
+        gen = _CountingGenerator(np.random.Philox(key=[6, t]))
+        ref = np.random.Generator(np.random.Philox(key=[6, t]))
+        got = X._draw_seeds(gen, n, r, 50)
+        want = np.array([ref.choice(n, size=r, replace=False) for _ in range(50)])
+        assert np.array_equal(got, want)
+        assert gen.choices == 50
+        assert gen.integers(0, 2**63) == ref.integers(0, 2**63)
 
 
 @st.composite
@@ -685,8 +798,8 @@ def test_marked_sweep_outcomes_equal_probing_each_alpha(candidates, n, alphas):
     successes = 0
     for t in range(12):
         got = X._marked_trial((candidates, n, ps, 78, t))
-        u, v, marks = X.sample_gnp_marked(n, ps[-1], trial_rng(78, t))
-        graphs = [Graph.from_arrays(n, u[marks < p], v[marks < p]) for p in ps]
+        idx, marks = X.sample_gnp_marked(n, ps[-1], trial_rng(78, t))
+        graphs = [Graph.from_arrays(n, idx[marks < p]) for p in ps]
         want = [X._spanning_pair(g, candidates(g)) for g in graphs]
         assert got == want
         successes += sum(out[0] for out in want[:-1])
@@ -816,6 +929,8 @@ def _tied_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(g=_tied_graphs())
 def test_triangle_edges_match_the_wedge_filter(g):
+    # one wedge per triangle, which expands to the triangle's three wedges,
+    # one per centre, each pair put in order a < b
     chunks = list(X._triangle_edges(g))
     assert all(
         0 < a.shape[0] == b.shape[0] == c.shape[0]
@@ -824,7 +939,11 @@ def test_triangle_edges_match_the_wedge_filter(g):
     )
     got = _wedge_list(chunks)
     assert all(a < b for a, b, _ in got)
-    assert Counter(got) == Counter(_wedge_list(_triangle_edges_oracle(g)))
+    assert len({frozenset(w) for w in got}) == len(got)
+    expanded = [
+        (*sorted(set(w) - {c}), c) for w in got for c in w
+    ]
+    assert Counter(expanded) == Counter(_wedge_list(_triangle_edges_oracle(g)))
 
 
 def test_triangle_edges_chunk_arrives_before_the_whole_graph(monkeypatch):
@@ -842,7 +961,7 @@ def test_triangle_edges_chunk_arrives_before_the_whole_graph(monkeypatch):
     monkeypatch.setattr(X, "row_pairs", counted)
     a, b, c = next(X._triangle_edges(g))
     assert len(pulled) == 1 and pulled[0] < math.comb(60, 3) // 10
-    assert a.shape[0] == 3 * pulled[0]  # every pair of out-neighbors is an edge
+    assert a.shape[0] == pulled[0]  # every pair of out-neighbors is an edge
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ def test_all_lists_exactly_the_public_names(module):
 
 
 def test_loading_the_package_imports_no_scipy():
-    # scipy is imported where it is used (primitivity tests); loading the
-    # CLI alone must not pay for it
+    # scipy is imported where it is used (primitivity tests), and the
+    # process pool where trials run on --workers > 1; loading the CLI
+    # alone must not pay for either
     src = str(Path(bootperc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
@@ -53,7 +54,8 @@ def test_loading_the_package_imports_no_scipy():
     code = (
         "import sys, bootperc.cli\n"
         "print(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')))\n"
+        " if m == 'scipy' or m.startswith('scipy.')"
+        " or m in ('multiprocessing', 'concurrent.futures.process')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
