@@ -118,7 +118,10 @@ def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
         gaps /= -math.log1p(-p)
     np.ceil(gaps, out=gaps)
     np.minimum(gaps, np.nextafter(2.0**63, 0.0), out=gaps)
-    return gaps.astype(np.int64)
+    # cast in place, each value onto its own 8 bytes: no second array
+    idx = gaps.view(np.int64)
+    np.copyto(idx, gaps, casting="unsafe")
+    return idx
 
 
 def sample_gnp(n: int, p: float, rng_seed: int, trial_index: int = 0) -> Graph:
