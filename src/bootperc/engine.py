@@ -134,11 +134,11 @@ def _csr_from_pair_indices(n, idx):
             "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
         )
     rows = np.arange(n + 1, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2  # row n's is n(n-1)/2
-    ends = idx.searchsorted(row_start)
-    upper = ends[1:] - ends[:-1]
-    rows = rows[:-1]
-    low = (row_start[:-1] - rows - 1).repeat(upper)
+    row_start = rows * (2 * n - rows - 1) // 2  # row n's, n(n-1)/2, ends row n-1
+    first = idx.searchsorted(row_start)  # where each row's run starts in idx
+    upper = first[1:] - first[:-1]
+    rows, row_start = rows[:-1], row_start[:-1]
+    low = (row_start - rows - 1).repeat(upper)  # idx - v, later the lower keys
     v = np.subtract(idx, low, out=idx)
     lower = np.bincount(v, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

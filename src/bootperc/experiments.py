@@ -1,8 +1,9 @@
 """G(n,p) Monte Carlo harness.
 
 Sampling uses geometric skipping over linear pair indices, so the expected
-work is O(n^2 p).  The indices come out sorted, the order
-engine.Graph.from_arrays builds the CSR arrays from.  Sweeps over alpha
+work is O(n^2 p); for p < 1/3 the gaps are numpy's own geometric draws,
+computed in whole-array passes (_geometric).  The indices come out sorted,
+the order engine.Graph.from_arrays builds the CSR arrays from.  Sweeps over alpha
 reuse one sample per trial through uniform edge marks: the subgraph at
 probability p keeps the edges with mark < p, which makes monotonicity in p
 literal rather than statistical.
@@ -156,12 +157,14 @@ def _draw_seeds(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndar
     """count seeds, row j the j-th of count calls rng.choice(n, size=r,
     replace=False), leaving rng as those calls leave it.
 
-    numpy draws such a choice by Floyd's algorithm, one bounded draw on
-    [0, j] for each j = n-r..n-1, then shuffles it, one bounded draw on
-    [0, i] for each i = r-1..1; each bounded draw is Lemire's on one 32-bit
-    word w, (w (j + 1)) >> 32, unless the low half of w (j + 1) is below
-    2^32 mod (j + 1), when it takes another word.  So the seeds come from
-    one block of count (2r - 1) words, all drawn at once, column by column.
+    numpy draws such a choice by Floyd's algorithm: for each j = n-r..n-1
+    a bounded draw on [0, j], kept unless already taken, when j is taken
+    instead.  Then it shuffles them, swapping entry i with entry k for a
+    bounded draw k on [0, i], i = r-1..1.  Each bounded draw is Lemire's
+    on one 32-bit word w, (w (j + 1)) >> 32, unless the low half of
+    w (j + 1) is below 2^32 mod (j + 1), when it takes another word.  So
+    the seeds come from one block of count (2r - 1) words, all drawn at
+    once, column by column.
     Where a word would be rejected, or numpy takes another path (n - r < 1,
     which draws nothing for j = 0; n >= 2^32; its tail shuffle, for
     n > 10000 and r > n // 50), rng is put back and the calls are made.
