@@ -2,11 +2,11 @@
 
 Sampling uses geometric skipping over linear pair indices, so the expected
 work is O(n^2 p); for p < 1/3 the gaps are numpy's own geometric draws,
-computed in whole-array passes (_geometric).  The indices come out sorted,
-the order engine.Graph.from_arrays builds the CSR arrays from.  Sweeps over alpha
-reuse one sample per trial through uniform edge marks: the subgraph at
-probability p keeps the edges with mark < p, which makes monotonicity in p
-literal rather than statistical.
+computed in whole-array passes (_geometric).  The indices come out
+sorted, the order engine.Graph.from_arrays builds the CSR arrays from.
+Sweeps over alpha reuse one sample per trial through uniform edge marks:
+the subgraph at probability p keeps the edges with mark < p, which makes
+monotonicity in p literal rather than statistical.
 
 Percolations run on a peeling kernel.  Its per-vertex stamps and counters
 cost O(n) once per graph; a run costs only the degrees of the vertices it
@@ -23,15 +23,16 @@ Two trial functions carry every estimate: _seeded_trial samples one graph,
 draws its seeds (_draw_seeds, all of them from one block of random words)
 and returns each seed's level profile, for the (k, i) visit and terminal
 frequencies; a seed whose first round infects nothing (the screen with S
-the seed and t = r) has the profile [(r, r)] and runs no kernel.  _marked_trial samples one marked graph and runs the one r = 2
-search, _spanning_pair, at each alpha of a sweep.  The two sweeps differ
-only in its candidate source: the susceptibility sweep takes every
-engine.wedge_pairs wedge (a, b, c), the seed-edge sweep only those whose
-pair is an edge (_triangle_edges, one per triangle, found in degree
-order).  Most pairs stop at three vertices, the pair and its common
-neighbor; the search screens those out (S = {a, b, c}, t = 2) in slices
-that start small and double, probing each slice before it screens the
-next, and runs the kernel only on the pairs that can grow past them.
+the seed and t = r) has the profile [(r, r)] and runs no kernel.
+_marked_trial samples one marked graph and runs the one r = 2 search,
+_spanning_pair, at each alpha of a sweep.  The two sweeps differ only in
+its candidate source: the susceptibility sweep takes every
+engine.wedge_pairs wedge (a, b, c), the seed-edge sweep one wedge per
+triangle (_triangle_edges, found in degree order).  Most pairs stop at
+three vertices, the pair and its common neighbor; the search screens those
+out (S = {a, b, c}, t = 2) in slices that start small and double, probing
+each slice before it screens the next, and runs the kernel only on the
+pairs that can grow past them.
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
@@ -164,10 +165,10 @@ def _draw_seeds(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndar
     on one 32-bit word w, (w (j + 1)) >> 32, unless the low half of
     w (j + 1) is below 2^32 mod (j + 1), when it takes another word.  So
     the seeds come from one block of count (2r - 1) words, all drawn at
-    once, column by column.
-    Where a word would be rejected, or numpy takes another path (n - r < 1,
-    which draws nothing for j = 0; n >= 2^32; its tail shuffle, for
-    n > 10000 and r > n // 50), rng is put back and the calls are made.
+    once, column by column.  Where a word would be rejected, or numpy takes
+    another path (n - r < 1, which draws nothing for j = 0; n >= 2^32; its
+    tail shuffle, for n > 10000 and r > n // 50), rng is put back and the
+    calls are made.
     """
     if 1 <= n - r and n < 1 << 32 and not (n > 10000 and r > n // 50):
         state = rng.bit_generator.state

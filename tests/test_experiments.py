@@ -21,9 +21,11 @@ from engine_oracle import bit_masks, bootstrap, has_seed, pairs_from_linear
 # sampling
 
 
-def _upper_pairs(graph):
-    """The pairs (u, v), u < v, of a graph's CSR rows, in u-major order."""
-    u = np.arange(graph.n, dtype=np.int64).repeat(np.diff(graph.indptr))
+def _decode_by_csr(n, idx):
+    """The pairs (u, v), u < v, of linear pair indices, in u-major order, as
+    the upper halves of the CSR rows Graph.from_arrays builds from them."""
+    graph = Graph.from_arrays(n, idx.copy())
+    u = np.arange(n, dtype=np.int64).repeat(np.diff(graph.indptr))
     upper = u < graph.indices
     return u[upper], graph.indices[upper]
 
@@ -35,9 +37,7 @@ def _pair_indices(n, u, v):
 def test_pair_inversion_exact_small():
     for n in (2, 3, 5, 17, 100):
         total = n * (n - 1) // 2
-        for decode in (pairs_from_linear, lambda n, idx: _upper_pairs(
-            Graph.from_arrays(n, idx.copy())
-        )):
+        for decode in (pairs_from_linear, _decode_by_csr):
             u, v = decode(n, np.arange(total, dtype=np.int64))
             brute = [(a, b) for a in range(n) for b in range(a + 1, n)]
             assert list(zip(u.tolist(), v.tolist())) == brute
@@ -50,7 +50,7 @@ def test_pair_inversion_large_n_extremes():
         [0, 1, n - 2, n - 1, total // 3, total // 2, total - 2, total - 1],
         dtype=np.int64,
     )
-    u, v = _upper_pairs(Graph.from_arrays(n, idx.copy()))
+    u, v = _decode_by_csr(n, idx)
     assert (u < v).all() and (u >= 0).all() and (v < n).all()
     assert np.array_equal(_pair_indices(n, u, v), idx)
 
@@ -69,15 +69,13 @@ def test_pair_inversion_matches_forward_formula(n, idx_seed):
     first = rows * (2 * n - rows - 1) // 2
     last = first + (n - rows - 2)
     for ends, v_want in ((first, rows + 1), (last, [n - 1] * (n - 1))):
-        for decode in (pairs_from_linear, lambda n, idx: _upper_pairs(
-            Graph.from_arrays(n, idx.copy())
-        )):
+        for decode in (pairs_from_linear, _decode_by_csr):
             u, v = decode(n, ends)
             assert [u.tolist(), v.tolist()] == [rows.tolist(), list(v_want)]
     rng = np.random.default_rng(idx_seed)
     # sorted and repeat-free, as the sampler draws them
     idx = np.unique(np.concatenate([first, last, rng.integers(0, total, size=1000)]))
-    u, v = _upper_pairs(Graph.from_arrays(n, idx.copy()))
+    u, v = _decode_by_csr(n, idx)
     assert u.dtype == v.dtype == np.int64
     assert (0 <= u).all() and (u < v).all() and (v < n).all()
     assert np.array_equal(_pair_indices(n, u, v), idx)
