@@ -47,8 +47,9 @@ relative error of the value <= 1e-12):
 
 sigma_r satisfies sigma_r(k, i) <= i^(-1/2) e^(-i-(r-2)k); the induction
 step behind that bound is the series inequality checked by
-induction_step_report, whose kernel Lambda(i) = sum_j j^(i-1/2) e^(-j) is
-shared with the polylogarithm-vs-gamma comparison in the thresholds module.
+induction_step_report.  Its kernel Lambda(i) = sum_j j^(i-1/2) e^(-j) is
+summed once, by thresholds.lambda_vs_gamma_sweep, whose per-i reports feed
+both this check and the Lambda-vs-gamma comparison.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import combinations
-from math import comb, exp, fsum, lgamma, log
+from math import comb, exp, lgamma, log
 
 __all__ = [
     "CountTable",
@@ -72,7 +73,6 @@ __all__ = [
     "brute_force_count",
     "iter_minimally_susceptible",
     "normalized",
-    "lambda_weight_sum_log",
     "induction_step_report",
     "table_to_csv",
     "table_from_csv",
@@ -396,64 +396,26 @@ def normalized(
 
 
 # ----------------------------------------------------------------------
-# the series kernel Lambda(i) and the induction-step inequality
+# the induction-step inequality
 # ----------------------------------------------------------------------
 
-def lambda_weight_sum_log(i: int) -> tuple[float, int]:
-    """log of Lambda(i) = sum_{j>=1} j^(i-1/2) e^(-j), with the series
-    truncated once the ratio-test remainder drops below 1e-16 of the partial
-    sum.  Returns (log_value, last_term_index)."""
-    if i < 1:
-        raise ValueError("need i >= 1")
-    ex = i - 0.5
-    peak = max(1.0, ex)
-    # The stop test is made only past j = peak + 1.  There the log-terms
-    # ex*log(j) - j fall, so their maximum m is fixed, and the test is
-    # monotone in j: the remainder bound falls and the partial sum grows.
-    # The first j that passes is found by doubling, then bisection.
-    j_first = int(peak + 1) + 1
-    terms = [ex * log(j) - j for j in range(1, j_first + 1)]
-    m = max(terms)
-    weights = [exp(t - m) for t in terms]
-
-    def passes(j: int) -> bool:
-        while len(weights) < j:
-            t = ex * log(len(weights) + 1) - (len(weights) + 1)
-            weights.append(exp(t - m))
-        # past the peak the ratio ((j+1)/j)^ex * e^-1 is < 1 and decreasing
-        ratio = exp(ex * log((j + 1) / j) - 1.0)
-        if ratio >= 1.0:
-            return False
-        tail = weights[j - 1] * ratio / (1.0 - ratio)
-        return tail < 1e-16 * fsum(weights[:j])
-
-    failed, j, step = j_first - 1, j_first, 1
-    while not passes(j):
-        failed, j, step = j, j + step, 2 * step
-    while j - failed > 1:
-        mid = (failed + j) // 2
-        if passes(mid):
-            j = mid
-        else:
-            failed = mid
-    return m + log(fsum(weights[:j])), j
-
-
-def induction_step_report(i: int) -> dict:
+def induction_step_report(lam: dict) -> dict:
     """Check sum_j (j^i e^-i / i!) j^(-1/2) e^-j <= i^(-1/2) e^-i.
 
     Dividing by e^-i/i! this is Lambda(i) <= i!/sqrt(i); both sides are
-    compared in log space.  Returns a report dict with the truncation point.
+    compared in log space.  lam is the report for i from
+    thresholds.lambda_vs_gamma_sweep, which supplies log Lambda(i) and the
+    point where its series was cut.  Returns a report dict with that point.
     """
-    log_lam, j_stop = lambda_weight_sum_log(i)
-    lhs_log = log_lam - i - lgamma(i + 1)
+    i = lam["i"]
+    lhs_log = lam["log_lambda"] - i - lgamma(i + 1)
     rhs_log = -0.5 * log(i) - i
     return {
         "i": i,
         "lhs_log": lhs_log,
         "rhs_log": rhs_log,
         "holds": lhs_log <= rhs_log,
-        "truncated_at": j_stop,
+        "truncated_at": lam["truncated_at"],
     }
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, fsum, log, e as _e
 
 import numpy as np
@@ -58,7 +59,8 @@ __all__ = [
     "beta_eps",
     "mu_star_at_beta_eps",
     "zeta_three_halves",
-    "lambda_vs_gamma_report",
+    "SeriesCutError",
+    "lambda_vs_gamma_sweep",
     "verify_inequalities",
     "report_to_json",
 ]
@@ -261,7 +263,9 @@ def _check_domain(r, alpha, beta, gamma):
 
 
 # ----------------------------------------------------------------------
-# zeta(3/2) and the Lambda-vs-gamma comparison
+# zeta(3/2), and Lambda(i) for every i in one sweep: the library's only
+# sum of Lambda(i), read by the Lambda-vs-gamma claim and by the induction
+# step in the counting module
 # ----------------------------------------------------------------------
 
 _BERNOULLI = ((1 / 6, 2), (-1 / 30, 4), (1 / 42, 6), (-1 / 30, 8))
@@ -283,50 +287,79 @@ def zeta_three_halves() -> float:
     return head + tail + corr
 
 
-def lambda_vs_gamma_report(i: int) -> dict:
-    """Check Lambda(i) = sum_j j^(i-1/2) e^(-j) < Gamma(i+1/2)(1 + a b^i)
-    with a = zeta(3/2), b = e/(2 pi).
+class SeriesCutError(Exception):
+    """A Lambda(i) series did not pass its stop test within the terms kept."""
 
-    The relative margin shrinks like b^i, far below double precision for
-    large i, so both sides are evaluated in arbitrary precision with digits
-    scaled to the margin; the series is truncated by the ratio-test
-    remainder bound, recorded in the report.
+
+def _lambda_terms(i_max: int) -> int:
+    # the stop test passes near j = 2.93 i + 105 (j = 1,549 at i = 500)
+    return 3 * i_max + 110
+
+
+def lambda_vs_gamma_sweep(i_max: int) -> list[dict]:
+    """Check Lambda(i) = sum_j j^(i-1/2) e^(-j) < Gamma(i+1/2)(1 + a b^i),
+    a = zeta(3/2), b = e/(2 pi), for i = 1..i_max; one report per i.
+
+    The relative margin shrinks like b^i, far below double precision, so
+    both sides are evaluated at 30 + 0.37 i_max digits, as many as i = i_max
+    needs.  The terms t(j) = j^(i-1/2) e^(-j) 2^scale_bits are integers, and
+    each i multiplies them by j exactly, so no term loses the precision it
+    started with; Gamma(i+1/2) and b^i are running products.  The series
+    for i is cut at the first j > i+1 where the ratio-test remainder
+    t(j) r/(1-r), r = t(j+1)/t(j), falls below 10^-(dps-3) of the partial
+    sum, with dps = 30 + 0.37 i.  Past j = i+1 the terms and r both fall,
+    so the test holds at every j past the cut.  log_lambda, log Lambda(i),
+    is what counting.induction_step_report reads.
     """
-    if i < 1:
-        raise ValueError("need i >= 1")
+    if i_max < 0:
+        raise ValueError(f"need i_max >= 0, got {i_max}")
     import mpmath as mp
 
-    dps = 30 + int(0.37 * i)
+    n_terms = _lambda_terms(i_max)
+    js = range(1, n_terms + 1)
     a = zeta_three_halves()
-    with mp.workdps(dps):
-        ex = mp.mpf(2 * i - 1) / 2
-        tol = mp.mpf(10) ** (-(dps - 3))
-        total = mp.mpf(0)
-        j = 0
-        tail = None
-        while True:
-            j += 1
-            term = mp.exp(ex * mp.log(j) - j)
-            total += term
-            if j <= i + 1:
-                continue
-            ratio = mp.exp(ex * mp.log(mp.mpf(j + 1) / j) - 1)
-            if ratio >= 1:
-                continue
-            tail = term * ratio / (1 - ratio)
-            if tail < tol * total:
-                break
+    reports = []
+    with mp.workdps(30 + int(0.37 * i_max)):
+        # e^-j / sqrt(j) >= 2^(-2j), so every term starts with mp.mp.prec bits
+        scale_bits = mp.mp.prec + 2 * n_terms
+        terms = [int(mp.ldexp(mp.exp(-j) / mp.sqrt(j), scale_bits)) for j in js]
         b = mp.e / (2 * mp.pi)
-        rhs = mp.gamma(mp.mpf(2 * i + 1) / 2) * (1 + mp.mpf(a) * b**i)
-        margin = (rhs - total) / rhs
-        return {
-            "i": i,
-            "holds": bool(total < rhs),
-            "relative_margin": float(margin),
-            "truncated_at": j,
-            "relative_tail_bound": float(tail / total),
-            "dps": dps,
-        }
+        b_pow = mp.mpf(1)
+        gamma = mp.sqrt(mp.pi)
+        j = 1
+        for i in range(1, i_max + 1):
+            terms = [t * k for t, k in zip(terms, js)]
+            partial = list(accumulate(terms))
+            b_pow *= b
+            gamma *= mp.mpf(2 * i - 1) / 2
+            dps = 30 + int(0.37 * i)
+
+            def stops(j):
+                # t(j) r/(1-r) < 10^-(dps-3) partial(j), times (t(j) - t(j+1))
+                if j >= n_terms:
+                    raise SeriesCutError(f"Lambda({i}) not cut within {n_terms} terms")
+                t, t_next = terms[j - 1], terms[j]
+                return t * t_next * 10 ** (dps - 3) < partial[j - 1] * (t - t_next)
+
+            # the cut moves little from one i to the next: walk from the last
+            j = max(j, i + 2)
+            while not stops(j):
+                j += 1
+            while j > i + 2 and stops(j - 1):
+                j -= 1
+            t, t_next, total_int = terms[j - 1], terms[j], partial[j - 1]
+            total = mp.ldexp(total_int, -scale_bits)
+            rhs = gamma * (1 + a * b_pow)
+            reports.append({
+                "i": i,
+                "holds": bool(total < rhs),
+                "relative_margin": float((rhs - total) / rhs),
+                "truncated_at": j,
+                "relative_tail_bound": t * t_next / ((t - t_next) * total_int),
+                "dps": dps,
+                "log_lambda": float(mp.log(total)),
+            })
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -562,12 +595,8 @@ def _check_penalized_min(r_set, grid):
 
 def _check_lambda_vs_gamma(r_set, grid):
     del r_set  # claim is r-independent
-    violations = []
-    for i in range(1, grid.i_max + 1):
-        rep = lambda_vs_gamma_report(i)
-        if not rep["holds"]:
-            violations.append(rep)
-    return grid.i_max, violations
+    reports = lambda_vs_gamma_sweep(grid.i_max)
+    return len(reports), [rep for rep in reports if not rep["holds"]]
 
 
 def _check_mu_eps_concavity(r_set, grid):

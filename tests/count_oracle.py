@@ -1,13 +1,16 @@
 """The straightforward count-table recursion, Lambda(i) series sum and CSV
-writer, the oracles for the fast versions in `bootperc.counting`.
+writer, the oracles for the fast versions in `bootperc.counting` and for
+log Lambda(i) from `bootperc.thresholds.lambda_vs_gamma_sweep`.
 
 `build_count_table` fills the table k-major: every entry m_r(k, i) takes its
 own sum of big-integer products a_r(k-i, j)^i * m_r(k-i, j).
-`lambda_weight_sum_log` re-sums every term at every j past the peak until
-the stop test passes.  `table_to_csv` writes each row through csv.writer,
-which decides field by field whether to quote.  All are slow and plain on
-purpose; the library's versions must give the same values in the same
-order, and the same bytes.
+`lambda_weight_sum_log` sums Lambda(i) in floats, re-summing every term at
+every j past the peak until the remainder bound falls below 1e-16 of the
+partial sum; the sweep sums it in extended precision and must agree to
+1e-12.  `table_to_csv` writes each row through csv.writer, which decides
+field by field whether to quote.  All are slow and plain on purpose; the
+library's table and CSV must give the same values in the same order, and
+the same bytes.
 """
 
 import csv

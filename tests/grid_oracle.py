@@ -1,10 +1,14 @@
-"""Point-by-point grid checkers, the oracle for the array-screened ones in
+"""Point-by-point grid checkers and the per-i Lambda(i) report, the oracles
+for the array-screened checkers and the upward Lambda(i) sweep in
 `bootperc.thresholds`.
 
 Each checker calls the scalar mu, mu_star, mu_bar and mu_eps at every grid
 point, in the verifier's loop order.  They look the functions and SLACK up
 on the module at call time, so a test that monkeypatches a bound there
 changes it for both paths.
+
+`lambda_vs_gamma_report` sums Lambda(i) afresh for one i, one mp.exp per
+term and one more per ratio test, at that i's own precision.
 """
 
 from bootperc import thresholds as th
@@ -80,3 +84,39 @@ CHECKERS = {
     "penalized_min": check_penalized_min,
     "mu_eps_gamma_concavity": check_mu_eps_concavity,
 }
+
+
+def lambda_vs_gamma_report(i):
+    import mpmath as mp
+
+    dps = 30 + int(0.37 * i)
+    a = th.zeta_three_halves()
+    with mp.workdps(dps):
+        ex = mp.mpf(2 * i - 1) / 2
+        tol = mp.mpf(10) ** (-(dps - 3))
+        total = mp.mpf(0)
+        j = 0
+        tail = None
+        while True:
+            j += 1
+            term = mp.exp(ex * mp.log(j) - j)
+            total += term
+            if j <= i + 1:
+                continue
+            ratio = mp.exp(ex * mp.log(mp.mpf(j + 1) / j) - 1)
+            if ratio >= 1:
+                continue
+            tail = term * ratio / (1 - ratio)
+            if tail < tol * total:
+                break
+        b = mp.e / (2 * mp.pi)
+        rhs = mp.gamma(mp.mpf(2 * i + 1) / 2) * (1 + mp.mpf(a) * b**i)
+        margin = (rhs - total) / rhs
+        return {
+            "i": i,
+            "holds": bool(total < rhs),
+            "relative_margin": float(margin),
+            "truncated_at": j,
+            "relative_tail_bound": float(tail / total),
+            "dps": dps,
+        }

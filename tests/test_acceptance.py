@@ -96,16 +96,18 @@ def test_criterion_04_induction_and_lambda_suites():
     """Both series-backed inequality suites hold for 1 <= i <= 500.
 
     The weight-sum series stops at a relative tail below 1e-16, and the
-    reported relative tails stay below 1e-15.
+    reported relative tails stay below 1e-15.  One sweep sums the series
+    for every i and feeds both suites.
     """
     t0 = time.perf_counter()
     bad = []
-    for i in range(1, 501):
-        rep = counting.induction_step_report(i)
-        if not rep["holds"]:
+    for lam in thresholds.lambda_vs_gamma_sweep(500):
+        i = lam["i"]
+        if not counting.induction_step_report(lam)["holds"]:
             bad.append(("induct", i))
-        rep2 = thresholds.lambda_vs_gamma_report(i)
-        if not rep2["holds"] or not rep2["relative_tail_bound"] < 1e-15:
+        if not lam["relative_tail_bound"] < 1e-16:
+            bad.append(("stop", i))
+        if not lam["holds"] or not lam["relative_tail_bound"] < 1e-15:
             bad.append(("lambda_vs_gamma", i))
     elapsed = time.perf_counter() - t0
     ok = not bad

@@ -26,12 +26,12 @@ from bootperc.counting import (
     build_count_table,
     induction_step_report,
     iter_minimally_susceptible,
-    lambda_weight_sum_log,
     normalized,
     table_from_csv,
     table_to_csv,
 )
 from bootperc.spectral import build_A
+from bootperc.thresholds import lambda_vs_gamma_sweep
 
 # Oracle outputs, frozen.  Keys are top-level sizes i.
 M2 = {
@@ -435,18 +435,24 @@ def test_A_entry_monotone_in_k():
             assert isclose(_A_entry_finite(r, i, j, 3000), limit, rel_tol=0.05)
 
 
-def test_lambda_weight_sum_log_matches_direct():
+@pytest.fixture(scope="module")
+def lambda_sweep():
+    """The Lambda(i) reports for i <= 500, from one sweep."""
+    return lambda_vs_gamma_sweep(500)
+
+
+def test_lambda_weight_sum_log_matches_direct(lambda_sweep):
     # direct float summation is safe for small i
     for i in (1, 2, 5, 10):
         direct = sum(j ** (i - 0.5) * exp(-j) for j in range(1, 400))
-        got, j_stop = lambda_weight_sum_log(i)
-        assert isclose(got, log(direct), rel_tol=1e-12)
-        assert j_stop < 400
+        lam = lambda_sweep[i - 1]
+        assert isclose(lam["log_lambda"], log(direct), rel_tol=1e-12)
+        assert lam["truncated_at"] < 400
 
 
-def test_induction_step_holds_spot():
+def test_induction_step_holds_spot(lambda_sweep):
     for i in (1, 2, 3, 10, 100, 500):
-        rep = induction_step_report(i)
+        rep = induction_step_report(lambda_sweep[i - 1])
         assert rep["holds"], rep
         # margin behaves like 1/(8i)
         assert rep["rhs_log"] - rep["lhs_log"] < 1.0 / i
@@ -467,7 +473,7 @@ def test_table_variant_validation():
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the x-major table and the bisecting Lambda(i) locator
+# differential tests: the x-major table, and log Lambda(i) from the sweep,
 # against the straightforward versions in count_oracle
 
 
@@ -505,5 +511,11 @@ def test_table_matches_k_major_oracle(r, k_max, variant, ell_extra, budget_share
 @given(i=st.integers(1, 500))
 @example(i=1)
 @example(i=500)
-def test_lambda_weight_sum_log_matches_resumming_oracle(i):
-    assert lambda_weight_sum_log(i) == count_oracle.lambda_weight_sum_log(i)
+def test_lambda_weight_sum_log_matches_resumming_oracle(lambda_sweep, i):
+    # the float oracle stops at a relative tail of 1e-16, the sweep at
+    # 10^-(dps - 3) <= 1e-27, so it cuts the series no earlier
+    want, j_stop = count_oracle.lambda_weight_sum_log(i)
+    lam = lambda_sweep[i - 1]
+    assert lam["i"] == i
+    assert isclose(lam["log_lambda"], want, rel_tol=1e-12)
+    assert lam["truncated_at"] >= j_stop

@@ -44,9 +44,10 @@ def test_all_lists_exactly_the_public_names(module):
 
 
 def test_loading_the_package_imports_no_scipy():
-    # scipy is imported where it is used (primitivity tests), and the
-    # process pool where trials run on --workers > 1; loading the CLI
-    # alone must not pay for either
+    # scipy is imported where it is used (primitivity tests), mpmath where
+    # extended precision is needed (beta_star, the Lambda(i) sweep), and
+    # the process pool where trials run on --workers > 1; loading the CLI
+    # alone must not pay for any of them
     src = str(Path(bootperc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
@@ -54,7 +55,7 @@ def test_loading_the_package_imports_no_scipy():
     code = (
         "import sys, bootperc.cli\n"
         "print(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')"
+        " if m in ('scipy', 'mpmath') or m.startswith(('scipy.', 'mpmath.'))"
         " or m in ('multiprocessing', 'concurrent.futures.process')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grid_oracle
@@ -296,20 +296,62 @@ def test_zeta_three_halves():
     )
 
 
-def test_lambda_vs_gamma_report_small_i():
-    rep = th.lambda_vs_gamma_report(1)
+@pytest.fixture(scope="module")
+def lambda_sweep():
+    """The Lambda(i) reports for i <= 500, from one sweep."""
+    return th.lambda_vs_gamma_sweep(500)
+
+
+def test_lambda_vs_gamma_report_small_i(lambda_sweep):
+    rep = lambda_sweep[0]
+    assert rep["i"] == 1
     assert rep["holds"] is True
     # Lambda(1) = sum j^(1/2) e^(-j) ~ 0.7494 vs Gamma(3/2)(1 + a b) ~ 2.0
     assert rep["relative_margin"] == pytest.approx(0.6253681921151134, abs=1e-10)
     assert rep["relative_tail_bound"] < 1e-15
 
 
-def test_lambda_vs_gamma_report_holds_across_i():
+def test_lambda_vs_gamma_report_holds_across_i(lambda_sweep):
     for i in (2, 10, 50, 120):
-        rep = th.lambda_vs_gamma_report(i)
+        rep = lambda_sweep[i - 1]
         assert rep["holds"] is True
         assert rep["relative_margin"] > 0
         assert rep["truncated_at"] > i
+
+
+@settings(max_examples=12, deadline=None)
+@given(i=st.integers(1, 500))
+@example(i=1)
+@example(i=500)
+def test_lambda_sweep_matches_per_i_oracle(lambda_sweep, i):
+    got = lambda_sweep[i - 1]
+    want = grid_oracle.lambda_vs_gamma_report(i)
+    for key in ("i", "holds", "truncated_at", "dps", "relative_tail_bound"):
+        assert got[key] == want[key], key
+    assert math.isclose(got["relative_margin"], want["relative_margin"],
+                        rel_tol=1e-12)
+
+
+def test_lambda_sweep_matches_its_own_prefix(lambda_sweep):
+    # a shorter sweep works at fewer digits and keeps fewer terms
+    assert th.lambda_vs_gamma_sweep(0) == []
+    short = th.lambda_vs_gamma_sweep(40)
+    for got, want in zip(short, lambda_sweep[:40], strict=True):
+        assert {k: got[k] for k in ("i", "holds", "truncated_at", "dps")} == {
+            k: want[k] for k in ("i", "holds", "truncated_at", "dps")}
+        for key in ("relative_margin", "relative_tail_bound", "log_lambda"):
+            assert math.isclose(got[key], want[key], rel_tol=1e-12), key
+
+
+def test_lambda_sweep_raises_when_a_series_is_not_cut(monkeypatch):
+    monkeypatch.setattr(th, "_lambda_terms", lambda i_max: 60)
+    with pytest.raises(th.SeriesCutError, match="Lambda"):
+        th.lambda_vs_gamma_sweep(3)
+
+
+def test_lambda_sweep_rejects_negative_i_max():
+    with pytest.raises(ValueError, match="i_max"):
+        th.lambda_vs_gamma_sweep(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +382,14 @@ def test_verifier_claim_subset_and_ids():
         r_set=(2,), grid=_small_grid(), claims=["small_beta_domination"]
     )
     assert [c["claim_id"] for c in report["claims"]] == ["small_beta_domination"]
+
+
+@pytest.mark.parametrize("i_max", [0, 1])
+def test_verifier_lambda_claim_on_the_smallest_grids(i_max):
+    report = th.verify_inequalities(grid=th.GridSpec(i_max=i_max),
+                                    claims=["lambda_vs_gamma"])
+    assert report == {"r_set": [2, 3, 4], "claims": [
+        {"claim_id": "lambda_vs_gamma", "grid_size": i_max, "violations": []}]}
 
 
 def test_verifier_unknown_claim():
