@@ -1,14 +1,17 @@
 """Graphs and the K_k graph bootstrap.
 
-Graph keeps a simple undirected graph in CSR arrays (row pointers and
-sorted neighbor lists); the r-neighbour percolation kernel that runs on it
-is experiments.PeelingKernel.  The CSR build takes the edges as linear pair
-indices idx(u, v) = u(2n-u-1)/2 + v-u-1 of the pairs u < v, strictly
-increasing, which is the order the G(n,p) sampler draws them in, and
-raises ValueError for indices out of it: one search of the row starts
-gives each row's upper half as a run of the indices, and its lower half
-comes from one sort of the m keys v n + u.  Graph() encodes its sorted,
-deduplicated pairs; Graph.from_arrays takes the indices as they come.
+Graph keeps a simple undirected graph as its edges' linear pair indices
+idx(u, v) = u(2n-u-1)/2 + v-u-1 of the pairs u < v, decoded: it takes
+them strictly increasing, which is the order the G(n,p) sampler draws
+them in, and raises ValueError for indices out of it.  One search of the
+row starts gives where each row's run of pairs starts, and each row's
+upper half is its run of v.  The CSR arrays (row pointers and sorted
+neighbor lists) are built from those on first use: the lower halves come
+from one sort of the m keys v n + u.  Graph.rows serves the rows of a
+batch of vertices without them, from one pass over the m pairs and a sort
+of the batch's lower halves, so a search that reads few rows never pays
+for the rest.  Graph() encodes its sorted, deduplicated pairs;
+Graph.from_arrays takes the indices as they come.
 graph_bootstrap_closure, the paper's K_k application, repeatedly adds any
 missing edge whose endpoints share a (k-2)-clique of common neighbors; it
 works on packed bit-set rows (Python integers), built from the CSR arrays
@@ -35,6 +38,7 @@ __all__ = [
     "Graph",
     "wedge_pairs",
     "row_pairs",
+    "row_entries",
     "graph_bootstrap_closure",
     "write_graph",
     "read_graph",
@@ -47,16 +51,20 @@ WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of row_pairs
 class Graph:
     """Immutable simple undirected graph.
 
-    Adjacency is kept in CSR arrays; packed bit-set rows are built lazily on
-    first use by graph_bootstrap_closure.
+    A graph keeps its edges as decoded pairs u < v in u-major order: where
+    each row's run of pairs starts (first) and the pairs' v.  The CSR
+    arrays indptr and indices (row pointers and sorted neighbor lists) are
+    built from them on first use, and packed bit-set rows on first use by
+    graph_bootstrap_closure.  rows serves the rows of a batch of vertices
+    from the CSR arrays once they exist and from one scan of the pairs
+    until then.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_masks")
+    __slots__ = ("n", "m", "_first", "_v", "_indptr", "_indices", "_masks")
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         seen = set()
         for u, v in edges:
             if u == v:
@@ -66,29 +74,68 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
         u, v = pairs[:, 0], pairs[:, 1]
-        self.indptr, self.indices = _csr_from_pair_indices(
-            n, u * (2 * n - u - 1) // 2 + v - u - 1
-        )
-        self._masks = None
+        self._decode(n, u * (2 * n - u - 1) // 2 + v - u - 1)
 
     @classmethod
     def from_arrays(cls, n: int, idx: np.ndarray) -> "Graph":
         """Graph on n vertices from the linear indices idx(u, v) =
         u(2n-u-1)/2 + v-u-1 of its edges u < v, strictly increasing, as the
         G(n,p) sampler draws them.  Raises ValueError for indices out of
-        that order or out of [0, n(n-1)/2).  An int64 idx is overwritten:
-        the build keeps the edges' v in its buffer."""
+        that order or out of [0, n(n-1)/2).  idx is only read."""
         g = cls.__new__(cls)
-        g.n = n
-        g.indptr, g.indices = _csr_from_pair_indices(
-            n, np.asarray(idx, dtype=np.int64)
-        )
-        g._masks = None
+        g._decode(n, np.asarray(idx, dtype=np.int64))
         return g
 
+    def _decode(self, n, idx) -> None:
+        """Check idx (see from_arrays) and keep its pairs as first and v.
+
+        Row u's pairs are the run of idx from its row start u(2n-u-1)/2 to
+        the next one, so one search of the row starts gives where each run
+        starts (first), and v = idx - (row start - u - 1)."""
+        m = idx.shape[0]
+        if m and not (
+            idx[0] >= 0 and idx[-1] < n * (n - 1) // 2 and (idx[1:] > idx[:-1]).all()
+        ):
+            raise ValueError(
+                "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
+            )
+        rows = np.arange(n + 1, dtype=np.int64)
+        row_start = rows * (2 * n - rows - 1) // 2  # row n's, n(n-1)/2, ends row n-1
+        first = idx.searchsorted(row_start)
+        v = (row_start - rows - 1)[:-1].repeat(first[1:] - first[:-1])
+        np.subtract(idx, v, out=v)
+        self.n, self.m = n, m
+        self._first, self._v = first, v
+        self._indptr = self._indices = self._masks = None
+
     @property
-    def m(self) -> int:
-        return int(self.indices.shape[0]) // 2
+    def indptr(self) -> np.ndarray:
+        if self._indptr is None:
+            self._build_csr()
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        if self._indices is None:
+            self._build_csr()
+        return self._indices
+
+    def _build_csr(self) -> None:
+        """The transpose: every row, after which the pairs are dropped."""
+        self._indptr, self._indices = _csr_rows(self.n, self._first, self._v)
+        self._first = self._v = None
+
+    def rows(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, indices) that hold the row of each vertex in
+        xs (repeats allowed): x's sorted neighbors are
+        indices[indptr[x]:indptr[x + 1]].  These are the graph's own arrays
+        once they exist; until then one scan of the pairs builds arrays
+        whose other rows are empty, so a batch costs O(m) plus its rows."""
+        if self._indptr is not None:
+            return self._indptr, self._indices
+        want = np.zeros(self.n, dtype=bool)
+        want[xs] = True
+        return _csr_rows(self.n, self._first, self._v, want)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -114,37 +161,34 @@ class Graph:
         return self._masks
 
 
-def _csr_from_pair_indices(n, idx):
-    """CSR arrays (indptr, indices) of the graph on n vertices whose edges
-    are the pairs u < v with linear indices idx, strictly increasing (see
-    Graph.from_arrays); raises ValueError otherwise.  idx's buffer ends up
-    holding the pairs' v.
+def _csr_rows(n, first, v, want=None):
+    """CSR arrays (indptr, indices) of the rows u with want[u] (every row if
+    want is None; the other rows empty) of the graph on n vertices whose
+    pairs u < v, in u-major order, are held as their v's, v, and where each
+    row's run of them starts, first (n + 1 entries, the last m).
 
-    Row u's pairs are the run of idx from its row start u(2n-u-1)/2 to the
-    next one, so one search of the row starts gives the upper halves in
-    order, and v = idx - (row start - u - 1).  Only the lower halves need
-    sorting: the keys v n + u order them by row and within each row.  Each
+    Row u's upper half is its run of v.  Its lower half is the u' < u whose
+    runs hold u: all pairs for every row; for some rows, the pairs that one
+    pass of want[v] finds, with u' from a search of first.  Sorting the
+    keys v n + u' orders the lower halves by row and within each row.  Each
     row is then its lower half followed by its upper half, interleaved by
-    one mask over the 2m entries."""
-    m = idx.shape[0]
-    if m and not (
-        idx[0] >= 0 and idx[-1] < n * (n - 1) // 2 and (idx[1:] > idx[:-1]).all()
-    ):
-        raise ValueError(
-            "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
-        )
-    rows = np.arange(n + 1, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2  # row n's, n(n-1)/2, ends row n-1
-    first = idx.searchsorted(row_start)  # where each row's run starts in idx
+    one mask over the entries."""
+    rows = np.arange(n, dtype=np.int64)
     upper = first[1:] - first[:-1]
-    rows, row_start = rows[:-1], row_start[:-1]
-    low = (row_start - rows - 1).repeat(upper)  # idx - v, later the lower keys
-    v = np.subtract(idx, low, out=idx)
-    lower = np.bincount(v, minlength=n)
+    if want is None:
+        up = v
+        lower = np.bincount(v, minlength=n)
+        low = v * n
+        low += rows.repeat(upper)
+    else:
+        hit = np.flatnonzero(want[v])  # the pairs in wanted lower halves
+        up = row_entries(first, v, rows[want])
+        upper = np.where(want, upper, 0)
+        lower = np.bincount(v[hit], minlength=n)
+        low = v[hit] * n
+        low += first.searchsorted(hit, "right") - 1
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(upper + lower, out=indptr[1:])
-    np.multiply(v, n, out=low)
-    low += rows.repeat(upper)
     low.sort()
     np.remainder(low, n, out=low)
     halves = np.empty(2 * n, dtype=np.int64)  # row u's lower, then upper size
@@ -153,11 +197,22 @@ def _csr_from_pair_indices(n, idx):
     is_low = np.zeros(2 * n, dtype=bool)
     is_low[::2] = True
     is_low = is_low.repeat(halves)
-    indices = np.empty(2 * m, dtype=np.int64)
+    indices = np.empty(is_low.shape[0], dtype=np.int64)
     indices[is_low] = low
     del low
-    indices[np.logical_not(is_low, out=is_low)] = v
+    indices[np.logical_not(is_low, out=is_low)] = up
     return indptr, indices
+
+
+def row_entries(indptr: np.ndarray, indices: np.ndarray, rows) -> np.ndarray:
+    """The rows `rows` of CSR arrays, concatenated: entry j of the result
+    reads indices[indptr[x] + j - start[x]], start[x] being where row x
+    starts in the result."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = lens.cumsum()
+    total = int(ends[-1]) if ends.shape[0] else 0
+    return indices[(starts - ends + lens).repeat(lens) + np.arange(total)]
 
 
 def _build_masks(n, indptr, indices) -> list[int]:

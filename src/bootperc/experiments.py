@@ -3,7 +3,7 @@
 Sampling uses geometric skipping over linear pair indices, so the expected
 work is O(n^2 p); for p < 1/3 the gaps are numpy's own geometric draws,
 computed in whole-array passes (_geometric).  The indices come out
-sorted, the order engine.Graph.from_arrays builds the CSR arrays from.
+sorted, the order engine.Graph.from_arrays decodes them in.
 Sweeps over alpha reuse one sample per trial through uniform edge marks:
 the subgraph at probability p keeps the edges with mark < p, which makes
 monotonicity in p literal rather than statistical.
@@ -15,15 +15,18 @@ so a graph serves many seeds without O(n) clearing.  A run whose frontier
 grows past a size set by a measured cost model finishes in numpy rounds,
 one bincount over the frontier's rows each.
 
-Most percolations stop at once, so one numpy screen, _round_infects,
-decides for many sets S at a time whether a t-bootstrap round from S
-infects anything: whether some vertex outside S has t neighbors in S.
+Most percolations stop at once, so one numpy round, _round_news, finds for
+many sets S at a time what a t-bootstrap round from S infects: the
+vertices outside S with t neighbors in S.  _round_infects, the sweeps'
+screen, only asks whether that is anything.
 
 Two trial functions carry every estimate: _seeded_trial samples one graph,
 draws its seeds (_draw_seeds, all of them from one block of random words)
 and returns each seed's level profile, for the (k, i) visit and terminal
-frequencies; a seed whose first round infects nothing (the screen with S
-the seed and t = r) has the profile [(r, r)] and runs no kernel.
+frequencies.  It runs no kernel per seed: _lockstep advances all seeds
+together in _round_news rounds, the first a screen that most seeds stop
+at, and reads each round's rows in one batch from the graph's decoded
+pairs, so a graph whose seeds stay small never builds its CSR arrays.
 _marked_trial samples one marked graph and runs the one r = 2 search,
 _spanning_pair, at each alpha of a sweep.  The two sweeps differ only in
 its candidate source: the susceptibility sweep takes every
@@ -48,7 +51,7 @@ import numpy as np
 
 from .branching import hitting_probability_exact, trial_rng
 from .counting import TableBudgetExceeded, build_count_table
-from .engine import Graph, row_pairs, wedge_pairs
+from .engine import Graph, row_entries, row_pairs, wedge_pairs
 from .thresholds import beta_star, theta
 
 __all__ = [
@@ -219,11 +222,11 @@ class PeelingKernel:
     The two break even near 50 + n / 70 entries.  A run hands over once a
     frontier holds max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
     row entries, two to three times that, which pays for the hand-over and
-    the O(n) passes of the rounds after it, and finishes in numpy rounds.  So
-    a k_stop = 12 probe at n = 1e5, a few hundred entries a round, stays in
-    Python.  The hand-over counts every vertex's neighbors among the
-    vertices infected so far, so the Python counters are not read, and
-    later runs, on fresh stamps, do not see what the numpy rounds did.
+    the O(n) passes of the rounds after it, and finishes in numpy rounds;
+    _lockstep hands its large seeds to the same rounds.  The hand-over
+    counts every vertex's neighbors among the vertices infected so far, so
+    the Python counters are not read, and later runs, on fresh stamps, do
+    not see what the numpy rounds did.
     Rounds are sets, so the profile does not depend on which path ran a
     round, and k_stop cuts at the same round on both.
     """
@@ -306,7 +309,7 @@ class PeelingKernel:
         graph = self.graph
         n = graph.n
         spread = np.array(spread, dtype=np.int64)
-        count = np.bincount(_row_entries(graph, spread), minlength=n)
+        count = np.bincount(row_entries(*graph.rows(spread), spread), minlength=n)
         count[spread] = -n
         cum = levels[-1][0]
         while True:
@@ -318,17 +321,7 @@ class PeelingKernel:
             if k_stop is not None and cum > k_stop:
                 return levels, True
             count[nxt] = -n
-            count += np.bincount(_row_entries(graph, nxt), minlength=n)
-
-
-def _row_entries(graph: Graph, rows: np.ndarray) -> np.ndarray:
-    """The rows N(x), x in rows (not empty), concatenated: entry j of the
-    result reads indices[indptr[x] + j - first[x]], first[x] being where
-    x's row starts in the result."""
-    starts = graph.indptr[rows]
-    lens = graph.indptr[rows + 1] - starts
-    ends = lens.cumsum()
-    return graph.indices[(starts - ends + lens).repeat(lens) + np.arange(ends[-1])]
+            count += np.bincount(row_entries(*graph.rows(nxt), nxt), minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +372,7 @@ class ExperimentConfig:
 
 
 def _seeded_trial(args) -> list:
-    """Level profiles of one G(n,p) sample, one per seed, cut by k_stop.
-
-    A seed whose first round infects nothing (_round_infects) has the
-    profile [(r, r)] without a kernel run."""
+    """Level profiles of one G(n,p) sample, one per seed, cut by k_stop."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
     graph = Graph.from_arrays(n, _sample_pair_indices(n, p, rng))
@@ -391,12 +381,81 @@ def _seeded_trial(args) -> list:
         seeds = np.fromiter(flat, dtype=np.int64).reshape(-1, r)
     else:
         seeds = _draw_seeds(rng, n, r, seeds_per_graph)
-    grows = _round_infects(graph, seeds.T, r)
-    kernel = PeelingKernel(graph)
-    return [
-        kernel.run(seed, r, k_stop=k_stop)[0] if g else [(r, r)]
-        for seed, g in zip(seeds.tolist(), grows.tolist())
-    ]
+    return _lockstep(graph, seeds, r, k_stop)
+
+
+def _lockstep(graph: Graph, seeds: np.ndarray, r: int, k_stop) -> list:
+    """PeelingKernel.run's level profile of every row of seeds (each r
+    distinct vertices), all seeds advanced together one round at a time.
+
+    A round reads the rows of every spreading seed's infected set V_t in
+    one batch (Graph.rows), and _round_news gathers them for slices of
+    seeds of at most SCREEN_SLICE entries; each slice's news is consumed
+    before the next is gathered.  The first round is a screen: most seeds
+    infect nothing and keep the profile [(r, r)].
+
+    A seed whose V_t holds max(ARRAY_ROUND_MIN_ENTRIES, n //
+    ARRAY_ROUND_N_PER_ENTRY) row entries or more finishes in
+    PeelingKernel._array_rounds, on the full CSR arrays, which the first
+    such seed builds.  That is known at the start of a round, where V_t's
+    rows are read, or at once when a round infects enough vertices: each
+    infected vertex brings at least r entries, its neighbors in the set.
+    So a set kept between rounds holds fewer than r + limit / r vertices.
+    Rounds are sets, so the profiles do not depend on the path, and k_stop
+    cuts at the same round on both."""
+    n = graph.n
+    profiles = [[(r, r)] for _ in range(seeds.shape[0])]
+    live = np.arange(seeds.shape[0])  # the profile of each spreading seed
+    vertex = seeds.ravel()  # seed j's V_t is vertex[sets[j]:sets[j + 1]]
+    sets = np.arange(0, vertex.shape[0] + 1, r)
+    limit = max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
+    kernel = None
+    screen = True
+    while live.shape[0]:
+        indptr, indices = graph.rows(vertex)
+        entries = np.add.reduceat(indptr[vertex + 1] - indptr[vertex], sets[:-1])
+        big = entries >= limit
+        if not screen and big.any():
+            kernel = kernel or PeelingKernel(graph)
+            for j in np.flatnonzero(big).tolist():
+                spread = vertex[sets[j] : sets[j + 1]]
+                kernel._array_rounds(spread, profiles[live[j]], r, k_stop)
+            sizes, keep = sets[1:] - sets[:-1], ~big
+            live, entries = live[keep], entries[keep]
+            vertex = vertex[keep.repeat(sizes)]
+            sets = np.concatenate(([0], sizes[keep].cumsum()))
+            if not live.shape[0]:
+                break
+        screen = False
+        parts = []  # live, vertex and set sizes of the seeds that go on
+        for lo, hi, news in _round_news(n, indptr, indices, sets, vertex, r):
+            owner, w = np.divmod(news, n)
+            owner -= lo
+            grew = np.bincount(owner, minlength=hi - lo)
+            go_on = grew > 0
+            for j in np.flatnonzero(go_on).tolist():
+                levels = profiles[live[lo + j]]
+                cum = levels[-1][0] + int(grew[j])
+                levels.append((cum, int(grew[j])))
+                if k_stop is not None and cum > k_stop:
+                    go_on[j] = False
+                elif entries[lo + j] + r * grew[j] >= limit:
+                    go_on[j] = False
+                    kernel = kernel or PeelingKernel(graph)
+                    at, to = owner.searchsorted([j, j + 1])
+                    spread = np.concatenate(
+                        (vertex[sets[lo + j] : sets[lo + j + 1]], w[at:to])
+                    )
+                    kernel._array_rounds(spread, levels, r, k_stop)
+            sizes = sets[lo + 1 : hi + 1] - sets[lo:hi]
+            held, new = go_on.repeat(sizes), go_on[owner]
+            order = np.concatenate((np.arange(hi - lo).repeat(sizes)[held], owner[new]))
+            merged = np.concatenate((vertex[sets[lo] : sets[hi]][held], w[new]))
+            merged = merged[np.argsort(order, kind="stable")]
+            parts.append((live[lo:hi][go_on], merged, (sizes + grew)[go_on]))
+        live, vertex, sizes = (np.concatenate(x) for x in zip(*parts))
+        sets = np.concatenate(([0], sizes.cumsum()))
+    return profiles
 
 
 def _seeded_trials(config: ExperimentConfig, k_stop, workers: int):
@@ -597,36 +656,48 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
 
 
 def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
-    """Per set S, whether a t-bootstrap round from S infects anything: some
-    vertex w outside S has at least t neighbors in S, that is, w comes at
-    least t times in the concatenated rows N(x), x in S (a CSR row holds
-    each neighbor once).  members is a sequence of s equal-length vertex
-    arrays, set i being {members[0][i], ..., members[s-1][i]}.  The rows
-    are gathered for slices of sets of at most SCREEN_SLICE entries (or
-    one set)."""
-    n, indptr = graph.n, graph.indptr
-    deg = indptr[1:] - indptr[:-1]
-    ends = sum(deg[x] for x in members).cumsum()  # entries gathered, per set
-    hits = np.zeros(ends.shape[0], dtype=bool)
-    lo = 0
-    while lo < ends.shape[0]:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(ends.searchsorted(base + SCREEN_SLICE, "right")))
-        k = hi - lo
-        part = [x[lo:hi] for x in members]
-        rows = np.concatenate(part)  # set i owns rows i, k + i, 2k + i, ...
-        w = _row_entries(graph, rows)
-        owner = (np.arange(rows.shape[0]) % k).repeat(deg[rows])
-        keep = w != part[0][owner]
-        for x in part[1:]:
-            keep &= w != x[owner]
-        key = owner[keep] * n + w[keep]
-        key.sort()
-        if key.shape[0] >= t:  # t equal sorted keys span t - 1 places
-            same = key[t - 1:] == key[: key.shape[0] + 1 - t]
-            hits[lo + key[t - 1:][same] // n] = True
-        lo = hi
+    """Per set S, whether a t-bootstrap round from S infects anything.
+    members is a sequence of s equal-length vertex arrays, set i being
+    {members[0][i], ..., members[s-1][i]}."""
+    s, k = len(members), members[0].shape[0]
+    vertex = np.stack(members, axis=1).ravel()
+    sets = np.arange(0, s * k + 1, s)
+    hits = np.zeros(k, dtype=bool)
+    for _, _, news in _round_news(graph.n, *graph.rows(vertex), sets, vertex, t):
+        hits[news // graph.n] = True
     return hits
+
+
+def _round_news(n, indptr, indices, sets, vertex, t: int):
+    """What a t-bootstrap round from each set infects, for slices of sets
+    lo..hi-1 of at most SCREEN_SLICE gathered entries (or one set), as
+    (lo, hi, the sorted keys j n + w of the vertices w outside set j =
+    vertex[sets[j]:sets[j + 1]] that have at least t neighbors in it).
+    Those w come at least t times in the concatenated rows N(x), x in set
+    j, as a row holds each neighbor once.  indptr and indices must hold the
+    rows of vertex (Graph.rows)."""
+    deg = indptr[vertex + 1] - indptr[vertex]
+    ends = np.zeros(vertex.shape[0] + 1, dtype=np.int64)
+    np.cumsum(deg, out=ends[1:])
+    ends = ends[sets]  # entries gathered before each set
+    lo = 0
+    while lo + 1 < ends.shape[0]:
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] + SCREEN_SLICE, "right")) - 1)
+        items = vertex[sets[lo] : sets[hi]]
+        owner = np.arange(lo, hi).repeat(sets[lo + 1 : hi + 1] - sets[lo:hi])
+        key = owner.repeat(deg[sets[lo] : sets[hi]]) * n
+        key += row_entries(indptr, indices, items)
+        key.sort()
+        hit = key[:0]
+        if key.shape[0] >= t:  # t equal sorted keys span t - 1 places
+            hit = key[t - 1 :][key[t - 1 :] == key[: key.shape[0] + 1 - t]]
+        if hit.shape[0]:
+            hit = hit[np.concatenate(([True], hit[1:] != hit[:-1]))]
+            own = owner * n + items  # the members, which do not count
+            own.sort()
+            hit = hit[own[np.minimum(own.searchsorted(hit), own.shape[0] - 1)] != hit]
+        yield lo, hi, hit
+        lo = hi
 
 
 def _triangle_edges(graph: Graph):

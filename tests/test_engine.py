@@ -550,6 +550,47 @@ def test_from_arrays_matches_decode_and_lexsort(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(case=_pair_index_sets(), picks=st.lists(st.integers(0, 2**32 - 1), max_size=8))
+def test_rows_before_the_transpose_match_the_csr_rows(case, picks):
+    # batches with repeats, with 0 and n - 1, often with isolated vertices
+    # (_pair_index_sets leaves rows out), and the empty batch
+    n, idx = case
+    want = Graph.from_arrays(n, idx)
+    want_ptr, want_idx = want.indptr, want.indices
+    g = Graph.from_arrays(n, idx)
+    xs = [p % n for p in picks] if n else []
+    batches = [xs, xs + xs[:3] + [0, n - 1]] if n else [xs]
+    with mock.patch.object(Graph, "_build_csr", side_effect=AssertionError("built")):
+        for batch in batches + [[]]:
+            indptr, indices = g.rows(np.array(batch, dtype=np.int64))
+            assert indptr.shape == (n + 1,)
+            for x in batch:
+                got = indices[indptr[x] : indptr[x + 1]].tolist()
+                assert got == want_idx[want_ptr[x] : want_ptr[x + 1]].tolist()
+        assert indices.shape == (0,) and not indptr.any()
+    # once built, rows serves the graph's own arrays
+    indptr, indices = g.indptr, g.indices
+    assert all(a is b for a, b in zip(g.rows([0] if n else []), (indptr, indices)))
+
+
+def test_from_arrays_keeps_no_view_of_the_callers_indices():
+    n = 30
+    idx = np.flatnonzero(np.random.default_rng(5).random(n * (n - 1) // 2) < 0.2)
+    idx = idx.astype(np.int64)
+    want = Graph.from_arrays(n, idx.copy())
+    g = Graph.from_arrays(n, idx)
+    idx[:] = idx[::-1].copy()  # the caller reuses its buffer
+    everyone = np.arange(n)
+    got = g.rows(everyone)  # before the transpose
+    for x in range(n):
+        row = got[1][got[0][x] : got[0][x + 1]]
+        assert row.tolist() == want.neighbors(x).tolist()
+    idx[:] = 0
+    assert np.array_equal(g.indptr, want.indptr)
+    assert np.array_equal(g.indices, want.indices)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     case=_pair_index_sets(),
     defect=st.sampled_from(["repeated", "decreasing", "negative", "past_total"]),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -343,7 +344,7 @@ def test_kernel_switch_follows_the_cost_model():
 
 def test_pki_probes_stay_on_the_python_rounds():
     # criterion 11's k_stop = 12 probes at n = 10^5 read far fewer row
-    # entries a round than the switch of n // 32
+    # entries a round than the switch of n // 32, so none leaves _lockstep
     cfg = X.ExperimentConfig(n=100_000, r=2, alpha=0.125, seeds_per_graph=1000)
     args = (cfg.n, 2, cfg.p, 12, "random", 1000, 13, 0)
     with mock.patch.object(
@@ -520,12 +521,12 @@ def test_terminal_deterministic_and_workers():
 
 
 # ---------------------------------------------------------------------------
-# the seed screen of _seeded_trial
+# the lockstep rounds of _seeded_trial
 
 
 def _seeded_trial_oracle(args) -> list:
-    """_seeded_trial without the screen: every seed, drawn one at a time,
-    runs the kernel."""
+    """_seeded_trial as one kernel run per seed, each seed drawn by its own
+    choice call."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
     graph = Graph.from_arrays(n, X._sample_pair_indices(n, p, rng))
@@ -565,20 +566,139 @@ def test_seed_screen_matches_running_every_seed(
 
 
 @pytest.mark.parametrize("r, n, p", [(2, 14, 0.3), (3, 12, 0.5), (4, 10, 0.7)])
-def test_seed_screen_runs_the_kernel_only_on_seeds_that_grow(monkeypatch, r, n, p):
-    runs = []
-    run = X.PeelingKernel.run
+def test_lockstep_reads_rows_only_of_seeds_that_grow(monkeypatch, r, n, p):
+    # round t reads one batch: the infected sets V_t of the seeds still
+    # spreading, which are the profiles longer than t
+    batches = []
+    rows = Graph.rows
 
-    def counted(self, seed, *args, **kwargs):
-        runs.append(seed)
-        return run(self, seed, *args, **kwargs)
+    def watched(self, xs):
+        batches.append(len(xs))
+        return rows(self, xs)
 
-    monkeypatch.setattr(X.PeelingKernel, "run", counted)
+    monkeypatch.setattr(Graph, "rows", watched)
     for t in range(4):
-        runs.clear()
+        batches.clear()
         profiles = X._seeded_trial((n, r, p, None, "all", 1, 9, t))
-        assert len(runs) == sum(len(levels) > 1 for levels in profiles)
-        assert len(profiles) > len(runs) > 0
+        rounds = max(len(levels) for levels in profiles)
+        assert batches == [
+            sum(levels[s][0] for levels in profiles if len(levels) > s)
+            for s in range(rounds)
+        ]
+        assert 0 < sum(len(levels) > 1 for levels in profiles) < len(profiles)
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A G(n, p) sample with n in r..60 and p from 0 to 1, its seeds (every
+    r-set where there are at most a few thousand, else random draws) and a
+    k_stop of None or a few vertices past r."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    policy = draw(st.sampled_from(["random", "all"]))
+    n = draw(st.integers(r, {2: 60, 3: 24, 4: 16}[r] if policy == "all" else 60))
+    p = draw(st.sampled_from([0.0, 1.0, 0.05, 0.15, 0.3, 0.6]))
+    graph_seed = draw(st.integers(0, 2**32 - 1))
+    if policy == "all":
+        seeds = np.array(list(itertools.combinations(range(n), r)), dtype=np.int64)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        seeds = X._draw_seeds(rng, n, r, draw(st.integers(1, 40)))
+    k_stop = draw(st.one_of(st.none(), st.integers(r, r + 6)))
+    return (n, p, graph_seed), seeds, r, k_stop
+
+
+def _kernel_profiles(sample, seeds, r, k_stop) -> list:
+    kern = X.PeelingKernel(X.sample_gnp(*sample))
+    return [kern.run(seed, r, k_stop=k_stop)[0] for seed in seeds.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_lockstep_cases(),
+    array_min=st.sampled_from([X.ARRAY_ROUND_MIN_ENTRIES, 1, 12, 40]),
+    screen_slice=st.sampled_from([1 << 15, 1, 60]),
+)
+def test_lockstep_matches_a_kernel_run_per_seed(case, array_min, screen_slice):
+    # small ARRAY_ROUND_MIN_ENTRIES hand seeds over to the array rounds,
+    # small SCREEN_SLICE cuts a round into slices of one or a few seeds
+    sample, seeds, r, k_stop = case
+    want = _kernel_profiles(sample, seeds, r, k_stop)
+    graph = X.sample_gnp(*sample)  # rows from scans until a hand-over
+    with mock.patch.object(X, "ARRAY_ROUND_MIN_ENTRIES", array_min), \
+            mock.patch.object(X, "SCREEN_SLICE", screen_slice):
+        assert X._lockstep(graph, seeds, r, k_stop) == want
+
+
+def test_lockstep_hands_large_sets_to_the_array_rounds():
+    # with the switch at 32 entries, most seeds of G(40, 0.3) that spread
+    # are handed over, some in the screen's round and some in later ones
+    sample, r = (40, 0.3, 5), 2
+    seeds = np.array(list(itertools.combinations(range(40), r)), dtype=np.int64)
+    handed = []
+    array_rounds = X.PeelingKernel._array_rounds
+
+    def watched(self, spread, levels, *args):
+        handed.append(len(levels))
+        return array_rounds(self, spread, levels, *args)
+
+    for k_stop in (None, 9):
+        handed.clear()
+        want = _kernel_profiles(sample, seeds, r, k_stop)
+        graph = X.sample_gnp(*sample)
+        with mock.patch.object(X, "ARRAY_ROUND_MIN_ENTRIES", 32), \
+                mock.patch.object(X.PeelingKernel, "_array_rounds", watched):
+            assert X._lockstep(graph, seeds, r, k_stop) == want
+        assert len(handed) > 100
+        assert min(handed) == 2 and max(handed) > 2
+
+
+def test_lockstep_gathers_a_round_in_several_slices(monkeypatch):
+    # at SCREEN_SLICE = 64 a slice holds the rows of one to three seeds
+    sample, r = (300, 0.05, 8), 2
+    seeds = X._draw_seeds(np.random.default_rng(4), 300, r, 100)
+    slices = []
+    round_news = X._round_news
+
+    def counted(*args):
+        for lo, hi, news in round_news(*args):
+            slices.append((lo, hi))
+            yield lo, hi, news
+
+    monkeypatch.setattr(X, "_round_news", counted)
+    monkeypatch.setattr(X, "SCREEN_SLICE", 64)
+    want = _kernel_profiles(sample, seeds, r, None)
+    assert X._lockstep(X.sample_gnp(*sample), seeds, r, None) == want
+    starts = [j for j, (lo, _) in enumerate(slices) if lo == 0]  # the rounds
+    assert len(starts) > 1 and starts[1] > 10
+    assert slices[starts[1] - 1][1] == 100
+
+
+def test_pki_trial_never_builds_the_full_csr():
+    # no seed of these trials hands over, so their rows come from scans of
+    # the decoded pairs and the transpose, most of a graph's build, never runs
+    cfg = X.ExperimentConfig(n=20_000, r=2, alpha=0.125, seeds_per_graph=1000)
+    grown = 0
+    with mock.patch.object(Graph, "_build_csr", autospec=True) as build:
+        for t in range(5):
+            profiles = X._seeded_trial((cfg.n, 2, cfg.p, 12, "random", 1000, 13, t))
+            grown += sum(len(levels) > 1 for levels in profiles)
+    assert build.call_count == 0
+    assert grown > 0
+
+
+def test_exhaustive_pki_memory_stays_bounded():
+    # on K_200 each of the 19,900 pairs infects the other 198 vertices at
+    # once: round 1 gathers about 7.9 M row entries in all, 63 MB as int64
+    # keys, and infects 3.9 M (seed, vertex) pairs
+    cfg = X.ExperimentConfig(n=200, r=2, p=1.0, seed_policy="all", k_max=12, trials=1)
+    tracemalloc.start()
+    try:
+        est = X.estimate_Pki(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.seed_trials == 19_900 and est.freq == {}
+    assert peak < 16 * 2**20
 
 
 class _CountingGenerator(np.random.Generator):
