@@ -660,7 +660,7 @@ def _round_infects(graph: Graph, members, t: int) -> np.ndarray:
     members is a sequence of s equal-length vertex arrays, set i being
     {members[0][i], ..., members[s-1][i]}."""
     s, k = len(members), members[0].shape[0]
-    vertex = np.stack(members, axis=1).ravel()
+    vertex = np.array(members).T.ravel()
     sets = np.arange(0, s * k + 1, s)
     hits = np.zeros(k, dtype=bool)
     for _, _, news in _round_news(graph.n, *graph.rows(vertex), sets, vertex, t):
@@ -676,17 +676,19 @@ def _round_news(n, indptr, indices, sets, vertex, t: int):
     Those w come at least t times in the concatenated rows N(x), x in set
     j, as a row holds each neighbor once.  indptr and indices must hold the
     rows of vertex (Graph.rows)."""
-    deg = indptr[vertex + 1] - indptr[vertex]
-    ends = np.zeros(vertex.shape[0] + 1, dtype=np.int64)
-    np.cumsum(deg, out=ends[1:])
-    ends = ends[sets]  # entries gathered before each set
+    starts = indptr[vertex]
+    deg = indptr[vertex + 1] - starts
+    cum = np.zeros(vertex.shape[0] + 1, dtype=np.int64)
+    np.cumsum(deg, out=cum[1:])  # entries gathered before each vertex
+    ends = cum[sets]  # and before each set
     lo = 0
     while lo + 1 < ends.shape[0]:
         hi = max(lo + 1, int(ends.searchsorted(ends[lo] + SCREEN_SLICE, "right")) - 1)
-        items = vertex[sets[lo] : sets[hi]]
+        a, b = sets[lo], sets[hi]
+        items, lens = vertex[a:b], deg[a:b]
         owner = np.arange(lo, hi).repeat(sets[lo + 1 : hi + 1] - sets[lo:hi])
-        key = owner.repeat(deg[sets[lo] : sets[hi]]) * n
-        key += row_entries(indptr, indices, items)
+        key = owner.repeat(lens) * n
+        key += indices[(starts[a:b] - cum[a:b]).repeat(lens) + np.arange(cum[a], cum[b])]
         key.sort()
         hit = key[:0]
         if key.shape[0] >= t:  # t equal sorted keys span t - 1 places
