@@ -631,25 +631,34 @@ def test_lockstep_matches_a_kernel_run_per_seed(case, array_min, screen_slice):
 
 def test_lockstep_hands_large_sets_to_the_array_rounds():
     # with the switch at 32 entries, most seeds of G(40, 0.3) that spread
-    # are handed over, some in the screen's round and some in later ones
+    # are handed over, some in the screen's round and some in later ones;
+    # after the screen no round gathers 32 entries or more for one seed
     sample, r = (40, 0.3, 5), 2
     seeds = np.array(list(itertools.combinations(range(40), r)), dtype=np.int64)
-    handed = []
-    array_rounds = X.PeelingKernel._array_rounds
+    handed, gathered = [], []
+    array_rounds, round_news = X.PeelingKernel._array_rounds, X._round_news
 
     def watched(self, spread, levels, *args):
         handed.append(len(levels))
         return array_rounds(self, spread, levels, *args)
 
+    def counted(n, indptr, indices, sets, vertex, t):
+        deg = indptr[vertex + 1] - indptr[vertex]
+        gathered.append(np.add.reduceat(deg, sets[:-1]).max())
+        return round_news(n, indptr, indices, sets, vertex, t)
+
     for k_stop in (None, 9):
         handed.clear()
+        gathered.clear()
         want = _kernel_profiles(sample, seeds, r, k_stop)
         graph = X.sample_gnp(*sample)
         with mock.patch.object(X, "ARRAY_ROUND_MIN_ENTRIES", 32), \
-                mock.patch.object(X.PeelingKernel, "_array_rounds", watched):
+                mock.patch.object(X.PeelingKernel, "_array_rounds", watched), \
+                mock.patch.object(X, "_round_news", counted):
             assert X._lockstep(graph, seeds, r, k_stop) == want
         assert len(handed) > 100
         assert min(handed) == 2 and max(handed) > 2
+        assert len(gathered) > 1 and max(gathered[1:]) < 32
 
 
 def test_lockstep_gathers_a_round_in_several_slices(monkeypatch):
@@ -686,19 +695,26 @@ def test_pki_trial_never_builds_the_full_csr():
     assert grown > 0
 
 
-def test_exhaustive_pki_memory_stays_bounded():
-    # on K_200 each of the 19,900 pairs infects the other 198 vertices at
-    # once: round 1 gathers about 7.9 M row entries in all, 63 MB as int64
-    # keys, and infects 3.9 M (seed, vertex) pairs
-    cfg = X.ExperimentConfig(n=200, r=2, p=1.0, seed_policy="all", k_max=12, trials=1)
+@pytest.mark.parametrize("estimate, n, bound_mb", [("pki", 200, 16), ("terminal", 120, 12)])
+def test_exhaustive_seeds_memory_stays_bounded(estimate, n, bound_mb):
+    # on K_n each pair infects the other n - 2 vertices at once.  At
+    # n = 200 round 1 gathers about 7.9 M row entries, 63 MB as int64 keys,
+    # and the estimate (k_stop = 12) cuts every seed.  The terminal
+    # frequency (no k_stop) hands every seed over at once instead of
+    # keeping its 120 vertices for the next round (28 MB at n = 120)
+    cfg = X.ExperimentConfig(n=n, r=2, p=1.0, seed_policy="all", k_max=12, trials=1)
     tracemalloc.start()
     try:
-        est = X.estimate_Pki(cfg)
+        if estimate == "pki":
+            est = X.estimate_Pki(cfg)
+        else:
+            est = X.terminal_set_frequency(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.seed_trials == 19_900 and est.freq == {}
-    assert peak < 16 * 2**20
+    assert est.seed_trials == math.comb(n, 2)
+    assert est.freq == ({} if estimate == "pki" else {(n, n - 2): 1.0})
+    assert peak < bound_mb * 2**20
 
 
 class _CountingGenerator(np.random.Generator):
