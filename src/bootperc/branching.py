@@ -286,14 +286,10 @@ class WalkPolicy:
                 f"hard_cap_factor must be finite and > 0, got {self.hard_cap_factor}"
             )
 
-    def t_cut(self, r: int, eps: float) -> int:
-        return self.limits(r, eps)[0]
-
-    def hard_cap(self, r: int, eps: float) -> int:
-        return self.limits(r, eps)[1]
-
     def limits(self, r: int, eps: float) -> tuple[int, int]:
-        """(t_cut, hard_cap), computing k_r(eps) once.
+        """(t_cut, hard_cap): the time from which a walk may be declared
+        to survive, max(r, ceil(c1 k_r(eps))) (0 at eps = 0), and the most
+        steps a walk takes, max(1000, ceil(hard_cap_factor t_cut)).
 
         Raises ValueError when either limit overflows a double, as for an
         eps > 0 so small that k_r(eps) is infinite (at r = 2, 1/eps for eps

@@ -14,8 +14,7 @@ for the rest.  Graph() encodes its sorted, deduplicated pairs;
 Graph.from_arrays takes the indices as they come.
 graph_bootstrap_closure, the paper's K_k application, repeatedly adds any
 missing edge whose endpoints share a (k-2)-clique of common neighbors; it
-works on packed bit-set rows (Python integers), built from the CSR arrays
-on first use.
+works on packed bit-set rows (Python integers), built from the CSR arrays.
 
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
 seed search draws its candidates from wedges (a, b, c), pairs a < b with a
@@ -54,13 +53,12 @@ class Graph:
     A graph keeps its edges as decoded pairs u < v in u-major order: where
     each row's run of pairs starts (first) and the pairs' v.  The CSR
     arrays indptr and indices (row pointers and sorted neighbor lists) are
-    built from them on first use, and packed bit-set rows on first use by
-    graph_bootstrap_closure.  rows serves the rows of a batch of vertices
-    from the CSR arrays once they exist and from one scan of the pairs
-    until then.
+    built from them on first use.  rows serves the rows of a batch of
+    vertices from the CSR arrays once they exist and from one scan of the
+    pairs until then.
     """
 
-    __slots__ = ("n", "m", "_first", "_v", "_indptr", "_indices", "_masks")
+    __slots__ = ("n", "m", "_first", "_v", "_indptr", "_indices")
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
@@ -106,7 +104,7 @@ class Graph:
         np.subtract(idx, v, out=v)
         self.n, self.m = n, m
         self._first, self._v = first, v
-        self._indptr = self._indices = self._masks = None
+        self._indptr = self._indices = None
 
     @property
     def indptr(self) -> np.ndarray:
@@ -153,12 +151,6 @@ class Graph:
             for v in self.neighbors(u):
                 if u < v:
                     yield u, int(v)
-
-    @property
-    def masks(self) -> list[int]:
-        if self._masks is None:
-            self._masks = _build_masks(self.n, self.indptr, self.indices)
-        return self._masks
 
 
 def _csr_rows(n, first, v, want=None):
@@ -216,6 +208,7 @@ def row_entries(indptr: np.ndarray, indices: np.ndarray, rows) -> np.ndarray:
 
 
 def _build_masks(n, indptr, indices) -> list[int]:
+    """Each row of CSR arrays as a bit set: bit u of row v is edge vu."""
     masks = []
     nbytes = (n + 7) >> 3
     idx = indices.tolist()
@@ -324,7 +317,7 @@ def graph_bootstrap_closure(graph: Graph, k: int) -> Graph:
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
     n = graph.n
-    masks = list(graph.masks)
+    masks = _build_masks(n, graph.indptr, graph.indices)
     queue = deque(
         (u, v) for u in range(n) for v in range(u + 1, n)
         if not (masks[u] >> v) & 1

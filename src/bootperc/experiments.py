@@ -8,12 +8,11 @@ Sweeps over alpha reuse one sample per trial through uniform edge marks:
 the subgraph at probability p keeps the edges with mark < p, which makes
 monotonicity in p literal rather than statistical.
 
-Percolations run on a peeling kernel.  Its per-vertex stamps and counters
-cost O(n) once per graph; a run costs only the degrees of the vertices it
-infects, since the stamps tell which counters belong to the current seed,
-so a graph serves many seeds without O(n) clearing.  A run whose frontier
-grows past a size set by a measured cost model finishes in numpy rounds,
-one bincount over the frontier's rows each.
+Percolations run in two round drivers: the peeling kernel, one seed at a
+time in Python rounds, for the r = 2 pair search, and _lockstep, a graph's
+seeds together, for the seeded trials.  Either hands a seed whose frontier
+grows past a size set by a measured cost model to the one numpy finisher,
+_array_rounds, one bincount over the frontier's rows a round.
 
 Most percolations stop at once, so one numpy round, _round_news, finds for
 many sets S at a time what a t-bootstrap round from S infects: the
@@ -73,8 +72,9 @@ EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
 SCREEN_SLICE = 1 << 15  # most neighbor entries _round_infects gathers at once
 SCREEN_FIRST = 32  # wedges in _spanning_pair's first screened slice
-# PeelingKernel.run hands a run over to numpy rounds once a frontier holds
-# max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY) row entries
+# PeelingKernel.run and _lockstep hand a seed to _array_rounds once a
+# frontier holds max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
+# row entries
 ARRAY_ROUND_MIN_ENTRIES = 128
 ARRAY_ROUND_N_PER_ENTRY = 32
 
@@ -208,11 +208,10 @@ def _draw_seeds(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndar
 class PeelingKernel:
     """Bootstrap percolation by synchronous rounds on a CSR graph.
 
-    Reusable across seeds: per-vertex counters are validated by a trial
-    stamp, so starting a new seed costs O(|seed|).  The kernel's state
-    (stamps, counters and row offsets, held as Python lists so that the
-    inner loop works on Python ints) costs O(n) once per graph; a run costs
-    the sum of degrees of the vertices it infects.
+    The kernel keeps the graph's row offsets as a Python list, built once
+    per graph, so that the inner loop works on Python ints.  A run keeps
+    its neighbor counts in a dict and its infected vertices in a set, and
+    costs the sum of degrees of the vertices it infects.
 
     A round reads the rows of its frontier, the level infected last.  The
     Python loop reads them one entry at a time, about 110 ns an entry; a
@@ -222,25 +221,19 @@ class PeelingKernel:
     The two break even near 50 + n / 70 entries.  A run hands over once a
     frontier holds max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
     row entries, two to three times that, which pays for the hand-over and
-    the O(n) passes of the rounds after it, and finishes in numpy rounds;
+    the O(n) passes of the rounds after it, and finishes in _array_rounds;
     _lockstep hands its large seeds to the same rounds.  The hand-over
-    counts every vertex's neighbors among the vertices infected so far, so
-    the Python counters are not read, and later runs, on fresh stamps, do
-    not see what the numpy rounds did.
+    passes only the infected vertices: _array_rounds counts their
+    neighbors afresh.
     Rounds are sets, so the profile does not depend on which path ran a
     round, and k_stop cuts at the same round on both.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        n = graph.n
         self._indptr = graph.indptr.tolist()
-        self._count = [0] * n
-        self._count_stamp = [0] * n
-        self._infected = [0] * n
-        self._trial = 0
         self._array_entries = max(
-            ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY
+            ARRAY_ROUND_MIN_ENTRIES, graph.n // ARRAY_ROUND_N_PER_ENTRY
         )
 
     def run(
@@ -251,11 +244,6 @@ class PeelingKernel:
         Stops after the first round t >= 1 with |V_t| > k_stop; level
         sizes already emitted are exact either way.
         """
-        self._trial += 1
-        t = self._trial
-        infected = self._infected
-        count = self._count
-        count_stamp = self._count_stamp
         indptr = self._indptr
         indices = self.graph.indices
         raw = [int(s) for s in seed]
@@ -266,24 +254,19 @@ class PeelingKernel:
         for s in cur:
             if not 0 <= s < self.graph.n:
                 raise ValueError(f"seed vertex {s} out of range")
-            infected[s] = t
             entries += indptr[s + 1] - indptr[s]
-        spread = list(cur)
-        cum = len(cur)
-        levels = [(cum, cum)]
+        infected = set(cur)
+        count = {}
+        levels = [(len(cur), len(cur))]
         while cur:
             if entries >= self._array_entries:
-                return self._array_rounds(spread, levels, r, k_stop)
+                return _array_rounds(self.graph, list(infected), levels, r, k_stop)
             nxt = []
             for u in cur:
                 for w in indices[indptr[u] : indptr[u + 1]].tolist():
-                    if infected[w] == t:
+                    if w in infected:
                         continue
-                    if count_stamp[w] == t:
-                        c = count[w] + 1
-                    else:
-                        count_stamp[w] = t
-                        c = 1
+                    c = count.get(w, 0) + 1
                     count[w] = c
                     if c == r:
                         nxt.append(w)
@@ -291,37 +274,36 @@ class PeelingKernel:
                 return levels, False
             entries = 0
             for w in nxt:
-                infected[w] = t
                 entries += indptr[w + 1] - indptr[w]
-            spread += nxt
-            cum += len(nxt)
-            levels.append((cum, len(nxt)))
-            if k_stop is not None and cum > k_stop:
+            infected.update(nxt)
+            levels.append((len(infected), len(nxt)))
+            if k_stop is not None and len(infected) > k_stop:
                 return levels, True
             cur = nxt
         return levels, False
 
-    def _array_rounds(self, spread, levels, r, k_stop):
-        """Finish a run in numpy rounds from the infected vertices spread,
-        whose last level has not yet been read; levels is the profile so
-        far.  count[w] is w's number of infected neighbors, pushed below
-        -n (out of reach of r, as no degree reaches n) once w is infected."""
-        graph = self.graph
-        n = graph.n
-        spread = np.array(spread, dtype=np.int64)
-        count = np.bincount(row_entries(*graph.rows(spread), spread), minlength=n)
-        count[spread] = -n
-        cum = levels[-1][0]
-        while True:
-            nxt = np.flatnonzero(count >= r)
-            if not nxt.shape[0]:
-                return levels, False
-            cum += nxt.shape[0]
-            levels.append((cum, nxt.shape[0]))
-            if k_stop is not None and cum > k_stop:
-                return levels, True
-            count[nxt] = -n
-            count += np.bincount(row_entries(*graph.rows(nxt), nxt), minlength=n)
+
+def _array_rounds(graph: Graph, spread, levels, r: int, k_stop):
+    """Finish a run in numpy rounds on the graph's CSR arrays (built here
+    if they are not yet), from the infected vertices spread, whose last
+    level has not yet been read; levels is the profile so far.  count[w] is
+    w's number of infected neighbors, pushed below -n (out of reach of r,
+    as no degree reaches n) once w is infected."""
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    spread = np.array(spread, dtype=np.int64)
+    count = np.bincount(row_entries(indptr, indices, spread), minlength=n)
+    count[spread] = -n
+    cum = levels[-1][0]
+    while True:
+        nxt = np.flatnonzero(count >= r)
+        if not nxt.shape[0]:
+            return levels, False
+        cum += nxt.shape[0]
+        levels.append((cum, nxt.shape[0]))
+        if k_stop is not None and cum > k_stop:
+            return levels, True
+        count[nxt] = -n
+        count += np.bincount(row_entries(indptr, indices, nxt), minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +341,6 @@ class ExperimentConfig:
             )
         if self.seeds_per_graph < 1:
             raise ValueError("seeds_per_graph must be >= 1")
-        if self.k_max <= self.r:
-            raise ValueError("k_max must exceed r")
 
     @property
     def eps(self) -> float:
@@ -395,9 +375,8 @@ def _lockstep(graph: Graph, seeds: np.ndarray, r: int, k_stop) -> list:
     infect nothing and keep the profile [(r, r)].
 
     A seed whose V_t holds max(ARRAY_ROUND_MIN_ENTRIES, n //
-    ARRAY_ROUND_N_PER_ENTRY) row entries or more finishes in
-    PeelingKernel._array_rounds, on the full CSR arrays, which the first
-    such seed builds.  That is known at the start of a round, where V_t's
+    ARRAY_ROUND_N_PER_ENTRY) row entries or more finishes in _array_rounds,
+    on the full CSR arrays, which the first such seed builds.  That is known at the start of a round, where V_t's
     rows are read, or at once when a round infects enough vertices: each
     infected vertex brings at least r entries, its neighbors in the set.
     So a set kept between rounds holds fewer than r + limit / r vertices.
@@ -409,17 +388,15 @@ def _lockstep(graph: Graph, seeds: np.ndarray, r: int, k_stop) -> list:
     vertex = seeds.ravel()  # seed j's V_t is vertex[sets[j]:sets[j + 1]]
     sets = np.arange(0, vertex.shape[0] + 1, r)
     limit = max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
-    kernel = None
     screen = True
     while live.shape[0]:
         indptr, indices = graph.rows(vertex)
         entries = np.add.reduceat(indptr[vertex + 1] - indptr[vertex], sets[:-1])
         big = entries >= limit
         if not screen and big.any():
-            kernel = kernel or PeelingKernel(graph)
             for j in np.flatnonzero(big).tolist():
                 spread = vertex[sets[j] : sets[j + 1]]
-                kernel._array_rounds(spread, profiles[live[j]], r, k_stop)
+                _array_rounds(graph, spread, profiles[live[j]], r, k_stop)
             sizes, keep = sets[1:] - sets[:-1], ~big
             live, entries = live[keep], entries[keep]
             vertex = vertex[keep.repeat(sizes)]
@@ -441,12 +418,11 @@ def _lockstep(graph: Graph, seeds: np.ndarray, r: int, k_stop) -> list:
                     go_on[j] = False
                 elif entries[lo + j] + r * grew[j] >= limit:
                     go_on[j] = False
-                    kernel = kernel or PeelingKernel(graph)
                     at, to = owner.searchsorted([j, j + 1])
                     spread = np.concatenate(
                         (vertex[sets[lo + j] : sets[lo + j + 1]], w[at:to])
                     )
-                    kernel._array_rounds(spread, levels, r, k_stop)
+                    _array_rounds(graph, spread, levels, r, k_stop)
             sizes = sets[lo + 1 : hi + 1] - sets[lo:hi]
             held, new = go_on.repeat(sizes), go_on[owner]
             order = np.concatenate((np.arange(hi - lo).repeat(sizes)[held], owner[new]))
@@ -487,7 +463,9 @@ def _frequencies(observations) -> tuple[dict, int]:
 
 
 def _map_trials(fn, argses, workers: int):
-    if workers and workers > 1:
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -548,6 +526,8 @@ def estimate_Pki(config: ExperimentConfig, workers: int = 0) -> PkiEstimate:
     eps = n p^r rides along when the count table is available.
     """
     r, k_max = config.r, config.k_max
+    if k_max <= r:
+        raise ValueError("k_max must exceed r")
     freq, total = _frequencies(
         [(k, i) for k, i in levels if r < k <= k_max]
         for levels in _seeded_trials(config, k_max, workers)

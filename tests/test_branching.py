@@ -103,7 +103,7 @@ def test_walk_hard_cap_reason():
     out = bp.simulate_walk(2, 1.0, 10, policy=policy, trial_index=3)
     if out.survived:
         assert out.truncation_reason == "hard_cap"
-        assert out.steps == policy.hard_cap(2, 1.0)
+        assert out.steps == policy.limits(2, 1.0)[1]
 
 
 def test_walk_validation():

@@ -306,6 +306,43 @@ def test_negative_seed_is_config_error_exit_2(argv, capsys):
     assert err.startswith("error:") and "[0, 2**64)" in err
 
 
+def test_gnp_terminal_ignores_k_max(capsys):
+    # k_max bounds only the (k, i) estimate: at r = 12 the default
+    # k_max = 12 used to stop `gnp terminal`, which never reads it
+    argv = ["gnp", "terminal", "--n", "40", "--r", "12", "--p", "0.9",
+            "--trials", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k,i,frequency"
+    assert sum(float(line.split(",")[2]) for line in lines[1:]) == pytest.approx(1.0)
+
+
+def test_gnp_pki_k_max_not_past_r_exits_2(capsys):
+    argv = ["gnp", "pki", "--n", "40", "--r", "2", "--p", "0.1", "--trials", "2",
+            "--k-max", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: k_max must exceed r\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gnp", "pki", "--n", "30", "--r", "2", "--alpha", "0.5", "--trials", "2",
+         "--k-max", "4"],
+        ["gnp", "terminal", "--n", "30", "--r", "2", "--alpha", "0.5",
+         "--trials", "2"],
+        ["gnp", "seed-edge-sweep", "--n", "30", "--alphas", "1.0", "--trials", "2"],
+        ["gnp", "susceptibility-sweep", "--n", "30", "--alphas", "1.0",
+         "--trials", "2"],
+    ],
+    ids=["pki", "terminal", "seed-edge-sweep", "susceptibility-sweep"],
+)
+def test_negative_workers_is_config_error_exit_2(argv, capsys):
+    # these ran serially and exited 0
+    assert main([*argv, "--workers", "-1"]) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("sweep", ["seed-edge-sweep", "susceptibility-sweep"])
 def test_zero_trial_sweep_is_config_error_exit_2(sweep, capsys):
     argv = ["gnp", sweep, "--n", "40", "--alphas", "1.0", "--trials", "0",

@@ -22,6 +22,7 @@ from bootperc.engine import (
     write_graph,
 )
 from engine_oracle import (
+    bit_masks,
     bootstrap,
     closure_edges,
     csr_by_lexsort,
@@ -374,7 +375,7 @@ def test_hat_bootstrap_triangle_free_input():
 
 
 def _graph_has_triangle(g):
-    masks = g.masks
+    masks = bit_masks(g)
     return any(masks[u] & masks[v] for u, v in g.edges())
 
 

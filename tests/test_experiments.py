@@ -206,7 +206,7 @@ def _profile(trace):
 )
 def test_kernel_matches_engine_bootstrap(n, p, graph_seed, r, seed_draws):
     # the bitset oracle decides; every seed runs on one kernel, so
-    # stamps left by earlier runs must not leak into later ones
+    # nothing left by earlier runs may leak into later ones
     g = X.sample_gnp(n, p, graph_seed)
     kern = X.PeelingKernel(g)
     for draw_seed, k_stop, numpy_ints in seed_draws:
@@ -282,11 +282,11 @@ def test_kernel_array_rounds_match_engine_bootstrap():
     # seeds of several sizes run one after another on one kernel, so state
     # left by numpy rounds must not leak into later runs on either path
     handed_over, cut_in_array = [], []
-    array_rounds = X.PeelingKernel._array_rounds
+    array_rounds = X._array_rounds
 
-    def watched(self, *args):
+    def watched(*args):
         handed_over.append(1)
-        out = array_rounds(self, *args)
+        out = array_rounds(*args)
         cut_in_array.append(out[1])
         return out
 
@@ -308,7 +308,7 @@ def test_kernel_array_rounds_match_engine_bootstrap():
             else:
                 assert (levels, truncated) == (want[: cut + 1], True)
 
-    with mock.patch.object(X.PeelingKernel, "_array_rounds", watched):
+    with mock.patch.object(X, "_array_rounds", watched):
         check()
     # the cases do reach the numpy rounds, and k_stop cuts inside them
     assert len(handed_over) >= 50
@@ -324,7 +324,7 @@ def test_kernel_switch_follows_the_cost_model():
     star = [(0, w) for w in range(2, 66)] + [(1, w) for w in range(2, 65)]
     below, at = Graph(1000, star), Graph(1000, star + [(1, 65)])
     refuse = mock.patch.object(
-        X.PeelingKernel, "_array_rounds", side_effect=AssertionError("handed over")
+        X, "_array_rounds", side_effect=AssertionError("handed over")
     )
     with refuse:
         assert X.PeelingKernel(below).run((0, 1), 2) == ([(2, 2), (65, 63)], False)
@@ -342,13 +342,13 @@ def test_kernel_switch_follows_the_cost_model():
     )
 
 
-def test_pki_probes_stay_on_the_python_rounds():
+def test_pki_probes_stay_in_the_lockstep_rounds():
     # criterion 11's k_stop = 12 probes at n = 10^5 read far fewer row
     # entries a round than the switch of n // 32, so none leaves _lockstep
     cfg = X.ExperimentConfig(n=100_000, r=2, alpha=0.125, seeds_per_graph=1000)
     args = (cfg.n, 2, cfg.p, 12, "random", 1000, 13, 0)
     with mock.patch.object(
-        X.PeelingKernel, "_array_rounds", side_effect=AssertionError("handed over")
+        X, "_array_rounds", side_effect=AssertionError("handed over")
     ):
         profiles = X._seeded_trial(args)
     assert sum(len(levels) > 1 for levels in profiles) > 0
@@ -377,8 +377,10 @@ def test_config_validation():
         X.ExperimentConfig(n=10, r=2, p=0.1, seed_policy="weird")
     with pytest.raises(ValueError):
         X.ExperimentConfig(n=10**6, r=2, p=1e-5, seed_policy="all")
-    with pytest.raises(ValueError):
-        X.ExperimentConfig(n=10, r=2, p=0.1, k_max=2)
+    # k_max is read by estimate_Pki alone, which checks it
+    cfg = X.ExperimentConfig(n=10, r=2, p=0.1, k_max=2)
+    with pytest.raises(ValueError, match="k_max must exceed r"):
+        X.estimate_Pki(cfg)
 
 
 def test_first_step_law_matches_mc():
@@ -632,15 +634,16 @@ def test_lockstep_matches_a_kernel_run_per_seed(case, array_min, screen_slice):
 def test_lockstep_hands_large_sets_to_the_array_rounds():
     # with the switch at 32 entries, most seeds of G(40, 0.3) that spread
     # are handed over, some in the screen's round and some in later ones;
-    # after the screen no round gathers 32 entries or more for one seed
+    # after the screen no round gathers 32 entries or more for one seed.
+    # The hand-overs build no PeelingKernel.
     sample, r = (40, 0.3, 5), 2
     seeds = np.array(list(itertools.combinations(range(40), r)), dtype=np.int64)
     handed, gathered = [], []
-    array_rounds, round_news = X.PeelingKernel._array_rounds, X._round_news
+    array_rounds, round_news = X._array_rounds, X._round_news
 
-    def watched(self, spread, levels, *args):
+    def watched(graph, spread, levels, *args):
         handed.append(len(levels))
-        return array_rounds(self, spread, levels, *args)
+        return array_rounds(graph, spread, levels, *args)
 
     def counted(n, indptr, indices, sets, vertex, t):
         deg = indptr[vertex + 1] - indptr[vertex]
@@ -653,8 +656,12 @@ def test_lockstep_hands_large_sets_to_the_array_rounds():
         want = _kernel_profiles(sample, seeds, r, k_stop)
         graph = X.sample_gnp(*sample)
         with mock.patch.object(X, "ARRAY_ROUND_MIN_ENTRIES", 32), \
-                mock.patch.object(X.PeelingKernel, "_array_rounds", watched), \
-                mock.patch.object(X, "_round_news", counted):
+                mock.patch.object(X, "_array_rounds", watched), \
+                mock.patch.object(X, "_round_news", counted), \
+                mock.patch.object(
+                    X.PeelingKernel, "__init__",
+                    side_effect=AssertionError("kernel built"),
+                ):
             assert X._lockstep(graph, seeds, r, k_stop) == want
         assert len(handed) > 100
         assert min(handed) == 2 and max(handed) > 2

@@ -61,3 +61,47 @@ def test_loading_the_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _broad_handlers_and_asserts(path):
+    """(line, what) for each assert statement, bare except and except
+    Exception (alone or in a tuple) in the file at path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None:
+                found.append((node.lineno, "bare except"))
+            elif any(isinstance(n, ast.Name) and n.id == "Exception" for n in names):
+                found.append((node.lineno, "except Exception"))
+    return found
+
+
+def test_library_has_no_asserts_or_broad_excepts():
+    # asserts vanish under python -O, and broad handlers hide bugs as
+    # outcomes: the library raises named errors and catches only those
+    src = Path(bootperc.__file__).parent
+    found = {
+        path.name: hits
+        for path in sorted(src.glob("*.py"))
+        if (hits := _broad_handlers_and_asserts(path))
+    }
+    assert found == {}
+
+
+def test_the_library_scan_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "assert 1\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception) as exc:\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+    )
+    assert _broad_handlers_and_asserts(bad) == [
+        (1, "assert"), (4, "bare except"), (8, "except Exception"),
+        (12, "except Exception"),
+    ]
