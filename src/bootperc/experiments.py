@@ -376,10 +376,11 @@ def _lockstep(graph: Graph, seeds: np.ndarray, r: int, k_stop) -> list:
 
     A seed whose V_t holds max(ARRAY_ROUND_MIN_ENTRIES, n //
     ARRAY_ROUND_N_PER_ENTRY) row entries or more finishes in _array_rounds,
-    on the full CSR arrays, which the first such seed builds.  That is known at the start of a round, where V_t's
-    rows are read, or at once when a round infects enough vertices: each
-    infected vertex brings at least r entries, its neighbors in the set.
-    So a set kept between rounds holds fewer than r + limit / r vertices.
+    on the full CSR arrays, which the first such seed builds.  That is
+    known at the start of a round, where V_t's rows are read, or at once
+    when a round infects enough vertices: each infected vertex brings at
+    least r entries, its neighbors in the set.  So a set kept between
+    rounds holds fewer than r + limit / r vertices.
     Rounds are sets, so the profiles do not depend on the path, and k_stop
     cuts at the same round on both."""
     n = graph.n
