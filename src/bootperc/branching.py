@@ -638,17 +638,15 @@ def hitting_frequency_mc(
     i: int,
     trials: int,
     rng_seed: int,
-    k_cap: int = DEFAULT_K_CAP,
 ) -> HitEstimate:
     """MC frequency of {exists t: S_t = k, Y_t = i}, over the paths of
-    simulate_generations for trials 0..trials-1, run in lockstep.
+    simulate_generations (with k_cap >= k) for trials 0..trials-1, run in
+    lockstep.
 
     S_t only grows, so a path holds (k, i) exactly when its first (S, Y)
     with S >= k is (k, i): each trial stops there.
     """
     _validate_k_i(r, k, i)
-    if k > k_cap:
-        raise ValueError("k beyond the population cap is unobservable")
     _validate_r_eps(r, eps)
     plan = _GenerationsPlan(r, eps, k)
 

@@ -335,12 +335,9 @@ def _add_out(p, fmt: bool = False):
         )
 
 
-def _add_gnp_common(p, r_default=None):
+def _add_gnp_common(p):
     p.add_argument("--n", type=int, required=True, help="number of vertices")
-    if r_default is None:
-        p.add_argument("--r", type=int, required=True, help="infection threshold r")
-    else:
-        p.add_argument("--r", type=int, default=r_default, help="infection threshold r")
+    p.add_argument("--r", type=int, required=True, help="infection threshold r")
     p.add_argument(
         "--alpha", type=float, default=None,
         help="alpha; sets p = (alpha/(n log^(r-1) n))^(1/r)",

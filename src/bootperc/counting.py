@@ -58,7 +58,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, exp, lgamma, log
 
 __all__ = [
@@ -271,7 +271,7 @@ def iter_minimally_susceptible(r: int, k: int, cap: int = DEFAULT_ENUM_CAP):
                 if not choices:
                     continue
                 stack_edges = len(edges)
-                for pick in _product(choices, s):
+                for pick in product(choices, repeat=s):
                     for v, ps in zip(labels, pick):
                         for p in ps:
                             edges.append((p, v) if p < v else (v, p))
@@ -282,18 +282,6 @@ def iter_minimally_susceptible(r: int, k: int, cap: int = DEFAULT_ENUM_CAP):
                     del edges[stack_edges:]
 
     yield from recurse(seed, seed, tuple(range(r, k)), [], [seed])
-
-
-def _product(choices, s):
-    """itertools.product(choices, repeat=s) without materializing tuples of
-    indices; kept explicit so the recursion cost stays visible."""
-    if s == 1:
-        for c in choices:
-            yield (c,)
-        return
-    for c in choices:
-        for rest in _product(choices, s - 1):
-            yield (c,) + rest
 
 
 def _has_triangle(edges) -> bool:

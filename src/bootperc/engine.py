@@ -19,11 +19,14 @@ works on packed bit-set rows (Python integers), built from the CSR arrays.
 A 2-set can only grow if its two vertices share a neighbor, so every r = 2
 seed search draws its candidates from wedges (a, b, c), pairs a < b with a
 common neighbor c.  row_pairs enumerates the pairs of entries of each row
-of CSR arrays in numpy chunks of bounded size; wedge_pairs is row_pairs of
-the graph's own rows, centre by centre, and the seed-edge sweep's triangle
-enumerator runs it on rows oriented by degree.  The centre lets a search
-screen out pairs whose spread stops at {a, b, c} before it runs them;
-consumers deduplicate pairs with several common neighbors themselves.
+of CSR arrays in numpy chunks on one schedule: a first chunk of a size the
+caller picks, then chunks twice as large each time up to a cap, cut at any
+pair.  wedge_pairs is row_pairs of the graph's own rows, centre by centre,
+from a first chunk of 64, and the seed-edge sweep's triangle enumerator
+runs it on rows oriented by degree.  The centre lets a search screen out
+pairs whose spread stops at {a, b, c} before it runs them, a chunk at a
+time; consumers deduplicate pairs with several common neighbors
+themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = [
     "read_graph",
 ]
 
-WEDGE_FIRST_CHUNK = 1 << 10  # target pairs in row_pairs' first chunk
+WEDGE_FIRST_CHUNK = 1 << 6  # pairs in wedge_pairs' first chunk
 WEDGE_CHUNK_CAP = 1 << 21  # most pairs in any chunk of row_pairs
 
 
@@ -225,52 +228,33 @@ def wedge_pairs(graph: Graph):
     """Wedges (a, b, c): pairs a < b with a common neighbor c, as chunks of
     arrays (a, b, c).
 
-    These are row_pairs of the graph's CSR arrays: for each centre c in
-    turn, every pair of its sorted neighbors in row-major order, so a pair
-    comes once per common neighbor.
+    These are row_pairs of the graph's CSR arrays from a first chunk of
+    WEDGE_FIRST_CHUNK: for each centre c in turn, every pair of its sorted
+    neighbors in row-major order, so a pair comes once per common neighbor.
     """
-    return row_pairs(graph.indptr, graph.indices)
+    return row_pairs(graph.indptr, graph.indices, WEDGE_FIRST_CHUNK)
 
 
-def row_pairs(indptr: np.ndarray, indices: np.ndarray):
+def row_pairs(indptr: np.ndarray, indices: np.ndarray, first: int):
     """Pairs of entries of each row of CSR arrays, as chunks of arrays
     (a, b, c): a before b in row c, row by row, each row's pairs in
     row-major order.
 
-    Chunks start at about WEDGE_FIRST_CHUNK pairs, so a search that stops
-    early builds little, and double up to WEDGE_CHUNK_CAP; none is longer
-    than the cap, which bounds memory on graphs with ~1e8 wedges.  A chunk
-    holds whole rows while they fit; a row with more pairs than the cap
-    comes one entry's pairs at a time, each cut to the cap.
+    The first chunk holds `first` pairs, so a search that stops early
+    builds little, and each later one twice as many, up to WEDGE_CHUNK_CAP,
+    which bounds memory on graphs with ~1e8 wedges; the last holds the
+    rest.  Chunks are cut at any pair, inside a row as well as between
+    rows.
     """
     cap = WEDGE_CHUNK_CAP
     deg = indptr[1:] - indptr[:-1]
-    pairs = deg * (deg - 1) // 2
-    upto = pairs.cumsum()  # pairs of rows 0..c
-    ends = _wedge_piece_ends(deg, pairs, cap)
-    size = min(WEDGE_FIRST_CHUNK, cap)
-    lo = t0 = 0
-    while lo < ends.shape[0]:
-        hi = max(lo + 1, int(ends.searchsorted(t0 + size, "right")))
-        t1 = int(ends[hi - 1])
+    upto = (deg * (deg - 1) // 2).cumsum()  # pairs of rows 0..c
+    total = int(upto[-1]) if upto.shape[0] else 0
+    t0, size = 0, min(first, cap)
+    while t0 < total:
+        t1 = min(t0 + size, total)
         yield _wedge_range(indptr, indices, deg, upto, t0, t1)
-        lo, t0, size = hi, t1, min(2 * size, cap)
-
-
-def _wedge_piece_ends(deg, pairs, cap) -> np.ndarray:
-    """Where each piece of row_pairs' order ends: a row's pairs, or for a
-    row with more than cap pairs each entry's pairs cut to the cap."""
-    if pairs.max(initial=0) <= cap:
-        return pairs[pairs > 0].cumsum()
-    lengths = []
-    for d, m in zip(deg.tolist(), pairs.tolist()):
-        if m > cap:
-            lengths += [
-                min(cap, d - s) for i in range(d - 1) for s in range(i + 1, d, cap)
-            ]
-        elif m:
-            lengths.append(m)
-    return np.cumsum(lengths, dtype=np.int64)
+        t0, size = t1, min(2 * size, cap)
 
 
 def _wedge_range(indptr, indices, deg, upto, t0: int, t1: int):

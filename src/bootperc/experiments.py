@@ -32,9 +32,10 @@ its candidate source: the susceptibility sweep takes every
 engine.wedge_pairs wedge (a, b, c), the seed-edge sweep one wedge per
 triangle (_triangle_edges, found in degree order).  Most pairs stop at
 three vertices, the pair and its common neighbor; the search screens those
-out (S = {a, b, c}, t = 2) in slices that start small and double, probing
-each slice before it screens the next, and runs the kernel only on the
-pairs that can grow past them.
+out (S = {a, b, c}, t = 2) a chunk at a time, probing each chunk before it
+screens the next, and runs the kernel only on the pairs that can grow past
+them.  Both sources come from engine.row_pairs, whose chunks start small
+and double, so a search whose first pairs span screens little.
 
 Every trial derives its RNG stream from (rng_seed, trial_index); outputs
 carry no timestamps, so identical configs produce byte-identical files.
@@ -71,7 +72,7 @@ __all__ = [
 EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
 SCREEN_SLICE = 1 << 15  # most neighbor entries _round_infects gathers at once
-SCREEN_FIRST = 32  # wedges in _spanning_pair's first screened slice
+TRIANGLE_FIRST_CHUNK = 1 << 10  # pairs in _triangle_edges' first chunk
 # PeelingKernel.run and _lockstep hand a seed to _array_rounds once a
 # frontier holds max(ARRAY_ROUND_MIN_ENTRIES, n // ARRAY_ROUND_N_PER_ENTRY)
 # row entries
@@ -599,40 +600,34 @@ def _spanning_pair(graph: Graph, chunks) -> tuple[bool, int]:
     which spreads as {a, b, c} does, since c joins in the first round; so
     a wedge is skipped if its pair or its three vertices were seen before
     (wedge_pairs yields each triangle's three wedges, which share one run;
-    _triangle_edges yields one of them).  The screen takes the
-    wedges in slices of SCREEN_FIRST, then twice as many, and so on (never
-    past a chunk), and each slice's pairs are probed before the next slice
-    is screened, so a search whose first pairs span screens little.  Both
-    results are the same in any probing order.
+    _triangle_edges yields one of them).  Each chunk is screened whole and
+    its pairs probed before the next chunk is built; the sources' chunks
+    start small and double (engine.row_pairs), so a search whose first
+    pairs span screens little.  Both results are the same in any probing
+    order.
     """
     n = graph.n
     kernel = PeelingKernel(graph)
     probed = set()
     max_spread = 2
-    size = SCREEN_FIRST
-    for pa, pb, pc in chunks:
-        lo = 0
-        while lo < pa.shape[0]:
-            a, b, c = pa[lo : lo + size], pb[lo : lo + size], pc[lo : lo + size]
-            if n > 3:  # at n = 3 a spread of 3 spans
-                grows = _round_infects(graph, (a, b, c), 2)
-                if not grows.all():
-                    max_spread = max(max_spread, 3)
-                    a, b, c = a[grows], b[grows], c[grows]
-            for seed, centre in zip(zip(a.tolist(), b.tolist()), c.tolist()):
-                trio = tuple(sorted((*seed, centre)))
-                known = seed in probed or trio in probed
-                probed.add(seed)
-                probed.add(trio)
-                if known:
-                    continue
-                levels, _ = kernel.run(seed, 2, k_stop=None)
-                spread = levels[-1][0]
-                if spread == n:
-                    return True, n
-                max_spread = max(max_spread, spread)
-            lo += size
-            size *= 2
+    for a, b, c in chunks:
+        if n > 3:  # at n = 3 a spread of 3 spans
+            grows = _round_infects(graph, (a, b, c), 2)
+            if not grows.all():
+                max_spread = max(max_spread, 3)
+                a, b, c = a[grows], b[grows], c[grows]
+        for seed, centre in zip(zip(a.tolist(), b.tolist()), c.tolist()):
+            trio = tuple(sorted((*seed, centre)))
+            known = seed in probed or trio in probed
+            probed.add(seed)
+            probed.add(trio)
+            if known:
+                continue
+            levels, _ = kernel.run(seed, 2, k_stop=None)
+            spread = levels[-1][0]
+            if spread == n:
+                return True, n
+            max_spread = max(max_spread, spread)
     return False, max_spread
 
 
@@ -693,9 +688,9 @@ def _triangle_edges(graph: Graph):
     to the higher (degree, id) rank, and a triangle {x, y, z} with x lowest
     is found once, at x, as a pair y < z of x's out-neighbors that is an
     edge.  The pairs of out-neighbors, engine.row_pairs of the oriented
-    rows in its growing chunks, are about a third of all wedges, and each
-    is looked up in the sorted keys u n + v of the graph's 2m row entries.
-    A triangle found at x gives the wedge (y, z, x).
+    rows from a first chunk of TRIANGLE_FIRST_CHUNK, are about a third of
+    all wedges, and each is looked up in the sorted keys u n + v of the
+    graph's 2m row entries.  A triangle found at x gives the wedge (y, z, x).
     """
     n, indptr, indices = graph.n, graph.indptr, graph.indices
     deg = indptr[1:] - indptr[:-1]
@@ -703,7 +698,9 @@ def _triangle_edges(graph: Graph):
     keys = src * n + indices  # sorted: rows hold sorted columns
     rank = deg * n + np.arange(n)  # orders vertices by (degree, id)
     out = np.flatnonzero(rank[src] < rank[indices])  # row entries kept
-    for y, z, x in row_pairs(out.searchsorted(indptr), indices[out]):
+    for y, z, x in row_pairs(
+        out.searchsorted(indptr), indices[out], TRIANGLE_FIRST_CHUNK
+    ):
         key = y * n + z
         # z's row holds x, and z n + x > y n + z, so pos stays in range
         pos = keys.searchsorted(key)

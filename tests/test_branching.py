@@ -244,7 +244,6 @@ def test_walk_and_generations_agree_on_population_reach():
 @pytest.mark.parametrize(
     "k, i",
     [
-        (61, 1),  # beyond the population cap
         (2, 1),  # k <= r
         (5, 0),  # i < 1
         (5, 4),  # i > k - r
@@ -252,7 +251,7 @@ def test_walk_and_generations_agree_on_population_reach():
 )
 def test_hitting_frequency_rejects_unobservable_events(k, i):
     with pytest.raises(ValueError):
-        bp.hitting_frequency_mc(2, 0.1, k, i, 10, 0, k_cap=60)
+        bp.hitting_frequency_mc(2, 0.1, k, i, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +412,19 @@ def test_generations_batch_equals_simulate_generations(case, k_over, rng_seed, t
         assert (int(s[j]), int(y[j])) == _first_at_or_past(path, k), start + j
 
 
-@pytest.mark.parametrize("r, eps, k, i", [(2, 0.1, 4, 1), (2, 1.0, 9, 3), (3, 0.5, 7, 2)])
+@pytest.mark.parametrize(
+    "r, eps, k, i",
+    # (61, 50) lies past DEFAULT_K_CAP = 60; its exact probability is 2.2e-3
+    [(2, 0.1, 4, 1), (2, 1.0, 9, 3), (3, 0.5, 7, 2), (2, 1.0, 61, 50)],
+)
 def test_hitting_mc_counts_simulate_generations(r, eps, k, i):
     trials, seed = 3000, 17
-    want = sum((k, i) in bp.simulate_generations(r, eps, seed, trial_index=t)
-               for t in range(trials))
+    k_cap = max(k, bp.DEFAULT_K_CAP)
+    want = sum(
+        (k, i) in bp.simulate_generations(r, eps, seed, k_cap=k_cap, trial_index=t)
+        for t in range(trials)
+    )
+    assert want > 0
     assert bp.hitting_frequency_mc(r, eps, k, i, trials, seed).p_hat == want / trials
 
 

@@ -1,13 +1,29 @@
 import json
 import math
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from bootperc import counting
-from bootperc.cli import main
+from bootperc.cli import _build_parser, main
 from bootperc.engine import read_graph
+
+
+def test_readme_cli_commands_parse():
+    # every command of README's CLI block, `\` continuations joined, must
+    # parse, so documented flags cannot drift from the parser; none is run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) >= 10
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "bootperc", line
+        args = _build_parser().parse_args(argv[1:])
+        assert callable(args.func), line
 
 
 def test_thresholds_eval_json(capsys):

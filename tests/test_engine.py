@@ -3,6 +3,7 @@ oracle (percolation traces, spanning-set and seed searches, witnesses) that
 the peeling kernel and the seed searches are checked against."""
 
 import io
+import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -206,10 +207,16 @@ def test_wedge_pairs_match_brute_force(n_edges, first_chunk, chunk_cap):
     graph = Graph(n, edges)
     with _chunk_sizes(first_chunk, chunk_cap):
         chunks = list(wedge_pairs(graph))
-    assert all(
-        0 < a.shape[0] == b.shape[0] == c.shape[0] <= chunk_cap
-        for a, b, c in chunks
-    )
+    assert all(a.shape[0] == b.shape[0] == c.shape[0] for a, b, c in chunks)
+    # first_chunk wedges, then twice as many each time up to the cap, then
+    # whatever is left
+    left = sum(comb(int(d), 2) for d in np.diff(graph.indptr))
+    sizes, size = [], min(first_chunk, chunk_cap)
+    while left:
+        sizes.append(min(size, left))
+        left -= sizes[-1]
+        size = min(2 * size, chunk_cap)
+    assert [a.shape[0] for a, _, _ in chunks] == sizes
     assert all(x.dtype == np.int64 for chunk in chunks for x in chunk)
     got = [
         wedge
@@ -242,26 +249,43 @@ def test_wedge_pairs_match_brute_force(n_edges, first_chunk, chunk_cap):
 
 
 def test_wedge_pairs_chunks_double_up_to_the_cap():
-    # 12 centres of C(11, 2) = 55 pairs; a chunk is flushed before it would
-    # outgrow its size (50, 100, then the cap of 200), and a centre's pairs
-    # are never split while they fit under the cap
+    # 12 centres of C(11, 2) = 55 pairs; chunks of 50, 100, then the cap of
+    # 200 are cut wherever they end, inside a centre's pairs as well
     g = complete_graph(12)
     with _chunk_sizes(50, 200):
         chunks = list(wedge_pairs(g))
-    assert [a.shape[0] for a, _, _ in chunks] == [55, 55, 165, 165, 165, 55]
-    # each centre repeated once per pair of its neighbors
-    assert [c.tolist() for _, _, c in chunks] == [
-        [c for c in centres for _ in range(55)]
-        for centres in ([0], [1], [2, 3, 4], [5, 6, 7], [8, 9, 10], [11])
-    ]
-    # a centre with more pairs than the cap comes row by row (7, 6, ..., 1
-    # pairs), each row cut to the cap; chunk sizes grow 1, 2, 4, 5
+    assert [a.shape[0] for a, _, _ in chunks] == [50, 100, 200, 200, 110]
+    # each centre repeated once per pair of its neighbors, across the cuts
+    centres = np.concatenate([c for _, _, c in chunks])
+    assert centres.tolist() == [c for c in range(12) for _ in range(55)]
+    assert chunks[1][2].tolist() == [0] * 5 + [1] * 55 + [2] * 40
+    # a centre with more pairs than the cap is cut the same way: chunks of
+    # 1, 2, 4, then the cap of 5, and the 1 pair left of C(8, 2) = 28
     star = Graph(9, [(0, v) for v in range(1, 9)])
     with _chunk_sizes(1, 5):
         chunks = list(wedge_pairs(star))
     sizes = [a.shape[0] for a, _, _ in chunks]
-    assert sizes == [5, 2, 5, 1, 5, 4, 5, 1] and sum(sizes) == comb(8, 2)
+    assert sizes == [1, 2, 4, 5, 5, 5, 5, 1] and sum(sizes) == comb(8, 2)
     assert all((c == 0).all() and c.shape[0] == a.shape[0] for a, _, c in chunks)
+    got = [pair for a, b, _ in chunks for pair in zip(a.tolist(), b.tolist())]
+    assert got == list(combinations(range(1, 9), 2))
+
+
+@pytest.mark.parametrize("leaves, bound_mb", [(3000, 112), (1500, 32)])
+def test_wedge_pairs_of_one_big_row_stay_bounded(leaves, bound_mb):
+    # the star K_{1,3000} has 4.5 M pairs in one row, past the cap of 2^21:
+    # a chunk is three int64 arrays of 16 MB each, and the loop holds one
+    # chunk while the next is built.  K_{1,1500}'s 1.1 M pairs fit under the
+    # cap but still come in chunks of 64, 128, ..., not as one chunk
+    star = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    tracemalloc.start()
+    try:
+        total = sum(a.shape[0] for a, _, _ in wedge_pairs(star))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == comb(leaves, 2)
+    assert peak < bound_mb * 2**20
 
 
 def test_has_seed():

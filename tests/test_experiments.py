@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootperc import engine
 from bootperc import experiments as X
 from bootperc.branching import trial_rng
 from bootperc.cli import _csv_text, _json_text
@@ -1094,14 +1095,14 @@ def test_triangle_edges_chunk_arrives_before_the_whole_graph(monkeypatch):
     pulled = []
     row_pairs = X.row_pairs
 
-    def counted(indptr, indices):
-        for chunk in row_pairs(indptr, indices):
+    def counted(indptr, indices, first):
+        for chunk in row_pairs(indptr, indices, first):
             pulled.append(chunk[0].shape[0])
             yield chunk
 
     monkeypatch.setattr(X, "row_pairs", counted)
     a, b, c = next(X._triangle_edges(g))
-    assert len(pulled) == 1 and pulled[0] < math.comb(60, 3) // 10
+    assert pulled == [X.TRIANGLE_FIRST_CHUNK] and pulled[0] < math.comb(60, 3) // 10
     assert a.shape[0] == pulled[0]  # every pair of out-neighbors is an edge
 
 
@@ -1168,17 +1169,24 @@ def test_path_stops_at_three_without_a_kernel_run(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(g=_dense_gnp(), screen_first=st.sampled_from([1, 2, 7, 32, 1 << 20]))
-def test_screen_slices_do_not_change_the_search(g, screen_first):
-    # slices of 1, 2, 4, ... wedges (or one slice a chunk) cut the chunks
-    # anywhere; both results must still match the oracle's
+@given(
+    g=_dense_gnp(),
+    first=st.sampled_from([1, 2, 7, 64, 1 << 20]),
+    cap=st.sampled_from([1, 5, 1 << 21]),
+)
+def test_chunk_cuts_do_not_change_the_search(g, first, cap):
+    # chunks of 1, 2, 4, ... pairs up to the cap (or one chunk for the whole
+    # graph) are cut anywhere and screened whole; both results must still
+    # match the oracle's
     masks = bit_masks(g)
     size = {
         pair: len(bootstrap(g, pair, 2, masks).final)
         for pair in itertools.combinations(range(g.n), 2)
     }
     spans = [pair for pair, s in size.items() if s == g.n]
-    with mock.patch.object(X, "SCREEN_FIRST", screen_first):
+    with mock.patch.multiple(
+        engine, WEDGE_FIRST_CHUNK=first, WEDGE_CHUNK_CAP=cap
+    ), mock.patch.object(X, "TRIANGLE_FIRST_CHUNK", first):
         wedges = X._spanning_pair(g, wedge_pairs(g))
         triangles = X._spanning_pair(g, X._triangle_edges(g))
     assert wedges == ((True, g.n) if spans else (False, max(size.values(), default=2)))
@@ -1215,27 +1223,31 @@ def test_wedges_sharing_a_centre_and_an_endpoint_are_both_probed():
     assert X._spanning_pair(g, wedge_pairs(g)) == (False, 6)
 
 
-def test_first_slice_is_probed_before_the_rest_is_screened(monkeypatch):
-    # in K_40 the first wedge spans: one screen of SCREEN_FIRST wedges and
-    # one kernel run, though the first chunk holds 741 wedges
+def test_first_chunk_is_probed_before_the_rest_is_screened(monkeypatch):
+    # in K_40 the first wedge spans: one screen of the first chunk's
+    # WEDGE_FIRST_CHUNK = 64 wedges and one kernel run, of 741 wedges in all
     g = Graph(40, itertools.combinations(range(40), 2))
-    screened = []
-    round_infects = X._round_infects
+    screened, runs = [], []
+    round_infects, run = X._round_infects, X.PeelingKernel.run
 
     def counted(graph, members, t):
         screened.append(members[0].shape[0])
         return round_infects(graph, members, t)
 
+    def counted_run(self, seed, *args, **kwargs):
+        runs.append(seed)
+        return run(self, seed, *args, **kwargs)
+
     monkeypatch.setattr(X, "_round_infects", counted)
-    assert next(wedge_pairs(g))[0].shape[0] == 741
+    monkeypatch.setattr(X.PeelingKernel, "run", counted_run)
     assert X._spanning_pair(g, wedge_pairs(g)) == (True, 40)
-    assert screened == [X.SCREEN_FIRST]
-    # in two disjoint K_20 nothing spans, and the slices double
+    assert screened == [64] and len(runs) == 1
+    # in two disjoint K_20 nothing spans, and the chunks double
     screened.clear()
     k20 = list(itertools.combinations(range(20), 2))
     g = Graph(40, k20 + [(a + 20, b + 20) for a, b in k20])
     assert X._spanning_pair(g, wedge_pairs(g)) == (False, 20)
-    assert screened[:4] == [X.SCREEN_FIRST * 2**i for i in range(4)]
+    assert screened == [64, 128, 256, 512, 1024, 2048, 40 * 171 - 4032]
 
 
 # ---------------------------------------------------------------------------
