@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .engine import row_entries
+
 __all__ = [
     "SpectralError",
     "NotPrimitiveError",
@@ -126,17 +128,14 @@ class CompanionPsi:
         d[0] = self.M[0, 0]
         return d
 
-    def pattern(self):
-        """Positivity pattern of psi(M) as a boolean CSR matrix."""
-        from scipy.sparse import csr_matrix
-
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positivity pattern of psi(M) as edge arrays (src, dst): psi(M)
+        has a positive entry in row src[e], column dst[e] for each e."""
         ell, n = self.M.shape[0], self.shape[0]
         top_i, top_j = np.nonzero(self.M > 0)
-        rows = np.concatenate([top_i, np.arange(ell, n)])
-        cols = np.concatenate([top_i * ell + top_j, np.arange(n - ell)])
-        return csr_matrix(
-            (np.ones(rows.size, dtype=bool), (rows, cols)), shape=self.shape
-        )
+        src = np.concatenate([top_i, np.arange(ell, n)])
+        dst = np.concatenate([top_i * ell + top_j, np.arange(n - ell)])
+        return src, dst
 
     def toarray(self) -> np.ndarray:
         ell, n = self.M.shape[0], self.shape[0]
@@ -161,51 +160,46 @@ def companion_psi(M: np.ndarray) -> CompanionPsi:
     return CompanionPsi(M)
 
 
-def _period_gcd(indptr: np.ndarray, indices: np.ndarray, n: int) -> int:
-    # BFS from node 0; gcd of (level[u] + 1 - level[w]) over edges of the
-    # strongly connected graph equals the period
+def _bfs_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Breadth-first level of each of n nodes from node 0 along the edges
+    src[e] -> dst[e], -1 where node 0 does not reach.  Each edge is read
+    once, when its source is in the frontier."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = dst[np.argsort(src, kind="stable")]
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
-    frontier = [0]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                if level[w] < 0:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[w])
-        frontier = nxt
-    for u in range(n):
-        for w in indices[indptr[u] : indptr[u + 1]]:
-            g = math.gcd(g, level[u] + 1 - level[w])
-    return abs(g)
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.shape[0]:
+        depth += 1
+        reached = row_entries(indptr, indices, frontier)
+        frontier = np.unique(reached[level[reached] < 0])
+        level[frontier] = depth
+    return level
 
 
 def is_primitive(M: np.ndarray | CompanionPsi) -> bool:
     """Whether some power of the nonnegative matrix is strictly positive.
 
-    Equivalent graph test: the positivity pattern is strongly connected and
-    aperiodic (gcd of cycle lengths 1).  A `CompanionPsi` is tested on its
-    sparse pattern, without forming the matrix.
+    Equivalent graph test: the positivity pattern is strongly connected
+    (node 0 reaches every node along the edges and along the reversed
+    edges) and aperiodic.  With BFS levels from node 0, the period is the
+    gcd of level[u] + 1 - level[w] over the edges u -> w.  A `CompanionPsi`
+    is tested on its edge arrays, without forming the matrix.
     """
     if isinstance(M, CompanionPsi):
-        pattern = M.pattern()
+        src, dst = M.pattern()
     else:
         M = np.asarray(M)
         if np.all(M > 0):
             return True
-        from scipy.sparse import csr_matrix
-
-        pattern = csr_matrix(M > 0)
-    from scipy.sparse.csgraph import connected_components
-
-    ncomp, _ = connected_components(pattern, directed=True, connection="strong")
-    if ncomp != 1:
+        src, dst = np.nonzero(M > 0)
+    n = M.shape[0]
+    level = _bfs_levels(n, src, dst)
+    if np.any(level < 0) or np.any(_bfs_levels(n, dst, src) < 0):
         return False
-    return _period_gcd(pattern.indptr, pattern.indices, M.shape[0]) == 1
+    return int(np.gcd.reduce(level[src] + 1 - level[dst])) == 1
 
 
 class PerronResult(NamedTuple):

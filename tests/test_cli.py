@@ -209,8 +209,6 @@ def test_spectral_psi_takes_ell_past_64(capsys):
 def test_spectral_psi_never_forms_the_lift(capsys):
     # dense psi(A) at ell = 64 is 4096 x 4096 doubles (134 MB) and took about
     # 70 s to iterate; numpy reports its buffers to tracemalloc
-    import scipy.sparse.csgraph  # noqa: F401  (imported lazily; not counted)
-
     argv = ["spectral", "lambda", "--r", "2", "--ell", "64"]
     t0 = time.perf_counter()
     assert main(argv) == 0

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -127,6 +127,43 @@ def test_is_primitive_cases():
     assert not sp.is_primitive(np.eye(3))
     assert sp.is_primitive(np.array([[1.0, 1.0], [1.0, 0.0]]))
     assert sp.is_primitive(sp.companion_psi(sp.build_A(2, 3)).toarray())
+
+
+def _wielandt_primitive(P: np.ndarray) -> bool:
+    # Wielandt (1950): a nonnegative n x n matrix is primitive iff its
+    # ((n - 1)^2 + 1)-th power is positive; powers of the 0/1 pattern by
+    # repeated squaring
+    B = (P > 0).astype(np.int64)
+    R = np.eye(B.shape[0], dtype=np.int64)
+    e = (B.shape[0] - 1) ** 2 + 1
+    while e:
+        if e & 1:
+            R = (R @ B > 0).astype(np.int64)
+        B = (B @ B > 0).astype(np.int64)
+        e >>= 1
+    return bool(np.all(R > 0))
+
+
+@st.composite
+def _zero_one_square(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((n, n)) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_zero_one_square(8))
+def test_is_primitive_matches_wielandt_on_dense_patterns(M):
+    assert sp.is_primitive(M) == _wielandt_primitive(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_one_square(4))
+# psi's node 0 reaches every node, but node 1 (M's zero row) has no out-edge
+@example(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+def test_is_primitive_matches_wielandt_on_companion_patterns(M):
+    psi = sp.companion_psi(M)
+    assert sp.is_primitive(psi) == _wielandt_primitive(psi.toarray())
 
 
 # ---------------------------------------------------------------------------
