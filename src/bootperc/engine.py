@@ -3,15 +3,19 @@
 Graph keeps a simple undirected graph as its edges' linear pair indices
 idx(u, v) = u(2n-u-1)/2 + v-u-1 of the pairs u < v, decoded: it takes
 them strictly increasing, which is the order the G(n,p) sampler draws
-them in, and raises ValueError for indices out of it.  One search of the
-row starts gives where each row's run of pairs starts, and each row's
-upper half is its run of v.  The CSR arrays (row pointers and sorted
+them in, and raises ValueError for indices out of it.  It decodes them a
+piece at a time, as the sampler draws them, so the indices never need to
+exist whole: a search of each piece for the row starts it spans counts
+each row's run of pairs, the runs' cumulative sum gives where each run
+starts, and each row's upper half is its run of v, written piece by piece
+into one buffer.  The CSR arrays (row pointers and sorted
 neighbor lists) are built from those on first use: the lower halves come
 from one sort of the m keys v n + u.  Graph.rows serves the rows of a
 batch of vertices without them, from one pass over the m pairs and a sort
 of the batch's lower halves, so a search that reads few rows never pays
 for the rest.  Graph() encodes its sorted, deduplicated pairs;
-Graph.from_arrays takes the indices as they come.
+Graph.from_arrays takes the indices as they come, in one array or in
+pieces.
 graph_bootstrap_closure, the paper's K_k application, repeatedly adds any
 missing edge whose endpoints share a (k-2)-clique of common neighbors; it
 works on packed bit-set rows (Python integers), built from the CSR arrays.
@@ -75,38 +79,61 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
         u, v = pairs[:, 0], pairs[:, 1]
-        self._decode(n, u * (2 * n - u - 1) // 2 + v - u - 1)
+        self._decode(n, (u * (2 * n - u - 1) // 2 + v - u - 1,), u.shape[0])
 
     @classmethod
-    def from_arrays(cls, n: int, idx: np.ndarray) -> "Graph":
+    def from_arrays(cls, n: int, idx, size: int | None = None) -> "Graph":
         """Graph on n vertices from the linear indices idx(u, v) =
         u(2n-u-1)/2 + v-u-1 of its edges u < v, strictly increasing, as the
-        G(n,p) sampler draws them.  Raises ValueError for indices out of
-        that order or out of [0, n(n-1)/2).  idx is only read."""
+        G(n,p) sampler draws them.  idx is one array of them or, when size
+        is given, an iterable of arrays, the pieces of that array in order,
+        decoded as they come into room for size pairs (grown if they
+        overflow it).  Raises ValueError for indices out of that order or
+        out of [0, n(n-1)/2), within a piece or across pieces.  idx is only
+        read."""
         g = cls.__new__(cls)
-        g._decode(n, np.asarray(idx, dtype=np.int64))
+        if size is None:
+            idx = np.asarray(idx, dtype=np.int64)
+            idx, size = (idx,), idx.shape[0]
+        g._decode(n, idx, size)
         return g
 
-    def _decode(self, n, idx) -> None:
-        """Check idx (see from_arrays) and keep its pairs as first and v.
+    def _decode(self, n, pieces, size) -> None:
+        """Check the pieces (see from_arrays) and keep their pairs as first
+        and v.
 
-        Row u's pairs are the run of idx from its row start u(2n-u-1)/2 to
-        the next one, so one search of the row starts gives where each run
-        starts (first), and v = idx - (row start - u - 1)."""
-        m = idx.shape[0]
-        if m and not (
-            idx[0] >= 0 and idx[-1] < n * (n - 1) // 2 and (idx[1:] > idx[:-1]).all()
-        ):
-            raise ValueError(
-                "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
-            )
+        Row u's pairs are the run of indices from its row start u(2n-u-1)/2
+        to the next one.  A search of each piece for the row starts inside
+        it counts the runs of the rows it spans, their cumulative sum gives
+        where each run starts (first), and v = idx - (row start - u - 1)."""
         rows = np.arange(n + 1, dtype=np.int64)
         row_start = rows * (2 * n - rows - 1) // 2  # row n's, n(n-1)/2, ends row n-1
-        first = idx.searchsorted(row_start)
-        v = (row_start - rows - 1)[:-1].repeat(first[1:] - first[:-1])
-        np.subtract(idx, v, out=v)
+        shift = row_start - rows - 1
+        first = np.zeros(n + 1, dtype=np.int64)  # first[u + 1]: row u's run
+        v = np.empty(size, dtype=np.int64)
+        m, last = 0, -1
+        for idx in pieces:
+            idx = np.asarray(idx, dtype=np.int64)
+            k = idx.shape[0]
+            if not k:
+                continue
+            if not (
+                idx[0] > last and idx[-1] < row_start[n] and (idx[1:] > idx[:-1]).all()
+            ):
+                raise ValueError(
+                    "pair indices must be strictly increasing and lie in [0, n(n-1)/2)"
+                )
+            lo = int(row_start.searchsorted(idx[0], "right")) - 1
+            hi = int(row_start.searchsorted(idx[-1], "right"))  # rows lo..hi-1
+            runs = np.diff(idx.searchsorted(row_start[lo : hi + 1]))
+            first[lo + 1 : hi + 1] += runs
+            if m + k > v.shape[0]:
+                v = np.resize(v, max(2 * v.shape[0], m + k))
+            np.subtract(idx, shift[lo:hi].repeat(runs), out=v[m : m + k])
+            m, last = m + k, int(idx[-1])
+        np.cumsum(first, out=first)
         self.n, self.m = n, m
-        self._first, self._v = first, v
+        self._first, self._v = first, v[:m]
         self._indptr = self._indices = None
 
     @property

@@ -3,7 +3,12 @@
 Sampling uses geometric skipping over linear pair indices, so the expected
 work is O(n^2 p); for p < 1/3 the gaps are numpy's own geometric draws,
 computed in whole-array passes (_geometric).  The indices come out
-sorted, the order engine.Graph.from_arrays decodes them in.
+sorted, the order engine.Graph.from_arrays decodes them in, and a block
+of at most SAMPLE_BLOCK at a time (_pair_index_pieces): sample_gnp and
+the seeded trials hand the blocks to Graph.from_arrays as they are
+drawn, so the indices never exist whole beside the decoded pairs.  The
+blocks draw the same variates as one array a batch would, so no stream
+depends on the block size.
 Sweeps over alpha reuse one sample per trial through uniform edge marks:
 the subgraph at probability p keeps the edges with mark < p, which makes
 monotonicity in p literal rather than statistical.
@@ -71,6 +76,8 @@ __all__ = [
 
 EXHAUSTIVE_SEED_CAP = 200_000
 SUSCEPTIBILITY_N_CAP = 3000
+# most pair indices the sampler draws, and Graph.from_arrays decodes, at once
+SAMPLE_BLOCK = 1 << 16
 SCREEN_SLICE = 1 << 15  # most neighbor entries _round_infects gathers at once
 TRIANGLE_FIRST_CHUNK = 1 << 10  # pairs in _triangle_edges' first chunk
 # PeelingKernel.run and _lockstep hand a seed to _array_rounds once a
@@ -84,29 +91,64 @@ ARRAY_ROUND_N_PER_ENTRY = 32
 # sampling
 
 
-def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The sorted linear indices of the pairs G(n, p) keeps."""
+def _pair_index_pieces(n: int, p: float, rng: np.random.Generator):
+    """(size, pieces): the sorted linear indices of the pairs G(n, p) keeps,
+    as an iterator of pieces of at most SAMPLE_BLOCK, whose draws are made
+    as the pieces are taken; and size, the number of draws in the first
+    batch, which bounds the count unless a second batch is needed.
+
+    The gaps between kept pairs come in batches, the first sized to hold
+    the whole sample with room to spare (a mean plus 5 standard deviations)
+    and each drawn SAMPLE_BLOCK at a time.  The blocks of a batch past the
+    last pair are drawn all the same, so the stream after the sample does
+    not depend on the block size."""
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:
-        return np.empty(0, dtype=np.int64)
+        return 0, iter(())
     if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
-    chunks = []
-    pos = -1
+        return total, (
+            np.arange(lo, min(lo + SAMPLE_BLOCK, total), dtype=np.int64)
+            for lo in range(0, total, SAMPLE_BLOCK)
+        )
     mean = total * p
     batch = int(mean + 5 * math.sqrt(mean + 1) + 16)
-    while pos < total:
-        idx = _geometric(rng, p, batch)
-        # a gap past the last pair ends the sample; clipping it there keeps
-        # the running sums from wrapping at tiny p, where draws reach 2^63 - 1
-        np.minimum(idx, total + 1, out=idx)
-        np.cumsum(idx, out=idx)
-        idx += pos
-        pos = int(idx[-1])
-        chunks.append(idx)
-        batch = max(16, int((total - pos) * p + 5 * math.sqrt(mean + 1) + 16))
-    chunks[-1] = idx[: idx.searchsorted(total)]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    def pieces(batch):
+        pos = -1
+        while pos < total:
+            for lo in range(0, batch, SAMPLE_BLOCK):
+                idx = _geometric(rng, p, min(SAMPLE_BLOCK, batch - lo))
+                if pos >= total:
+                    continue  # the rest of the batch, drawn and dropped
+                # a gap past the last pair ends the sample; clipping it there
+                # keeps the running sums from wrapping at tiny p, where draws
+                # reach 2^63 - 1
+                np.minimum(idx, total + 1, out=idx)
+                idx[0] += pos
+                np.cumsum(idx, out=idx)
+                pos = int(idx[-1])
+                yield idx[: idx.searchsorted(total)] if pos >= total else idx
+            batch = max(16, int((total - pos) * p + 5 * math.sqrt(mean + 1) + 16))
+
+    return batch, pieces(batch)
+
+
+def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The sorted linear indices of the pairs G(n, p) keeps: the
+    concatenation of _pair_index_pieces' pieces.
+
+    They are copied into one array sized by the draws and allocated before
+    them: np.concatenate of the pieces fragments the heap, and it raised a
+    gnp-threshold bench run's peak RSS by about 3 MB."""
+    size, pieces = _pair_index_pieces(n, p, rng)
+    out = np.empty(size, dtype=np.int64)
+    m = 0
+    for idx in pieces:
+        if m + idx.shape[0] > out.shape[0]:  # a second batch of draws
+            out = np.resize(out, max(2 * out.shape[0], m + idx.shape[0]))
+        out[m : m + idx.shape[0]] = idx
+        m += idx.shape[0]
+    return out[:m]
 
 
 def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
@@ -136,9 +178,8 @@ def sample_gnp(n: int, p: float, rng_seed: int, trial_index: int = 0) -> Graph:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
-    return Graph.from_arrays(
-        n, _sample_pair_indices(n, p, trial_rng(rng_seed, trial_index))
-    )
+    size, pieces = _pair_index_pieces(n, p, trial_rng(rng_seed, trial_index))
+    return Graph.from_arrays(n, pieces, size)
 
 
 def sample_gnp_marked(
@@ -356,7 +397,8 @@ def _seeded_trial(args) -> list:
     """Level profiles of one G(n,p) sample, one per seed, cut by k_stop."""
     n, r, p, k_stop, policy, seeds_per_graph, rng_seed, trial_index = args
     rng = trial_rng(rng_seed, trial_index)
-    graph = Graph.from_arrays(n, _sample_pair_indices(n, p, rng))
+    size, pieces = _pair_index_pieces(n, p, rng)
+    graph = Graph.from_arrays(n, pieces, size)
     if policy == "all":
         flat = chain.from_iterable(combinations(range(n), r))
         seeds = np.fromiter(flat, dtype=np.int64).reshape(-1, r)

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, fsum, log, e as _e
+from math import comb, factorial, fsum, isfinite, log, e as _e
 
 import numpy as np
 
@@ -230,8 +230,7 @@ def beta_eps(r: int, eps: float) -> float:
     collapses to the constant (r/(r-1))^2 for every eps.
     """
     _check_r(r)
-    if eps <= -1:
-        raise ValueError("need eps > -1")
+    _check_eps(eps)
     return (1 + eps) ** (1.0 / (r - 1)) * beta_r(r, (1 + eps) * critical_alpha(r))
 
 
@@ -239,8 +238,7 @@ def mu_star_at_beta_eps(r: int, eps: float) -> float:
     """Closed form for mu*_r((1+eps) alpha_r, beta_{r,eps}):
     r - (r/(r-1))^2 (r-2 + (1+eps)/r - log(1+eps))."""
     _check_r(r)
-    if eps <= -1:
-        raise ValueError("need eps > -1")
+    _check_eps(eps)
     return r - (r / (r - 1)) ** 2 * (r - 2 + (1 + eps) / r - log(1 + eps))
 
 
@@ -250,8 +248,13 @@ def _check_r(r: int) -> None:
 
 
 def _check_pos(x: float, name: str) -> None:
-    if not x > 0:
-        raise ValueError(f"{name} must be positive, got {x}")
+    if not (isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {x}")
+
+
+def _check_eps(eps: float) -> None:
+    if not (isfinite(eps) and eps > -1):
+        raise ValueError(f"eps must be finite and > -1, got {eps}")
 
 
 def _check_domain(r, alpha, beta, gamma):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bootperc import counting
-from bootperc.cli import _build_parser, main
+from bootperc.cli import _EVAL_SPECS, _build_parser, main
 from bootperc.engine import read_graph
 
 
@@ -53,6 +53,44 @@ def test_thresholds_eval_unknown_name(capsys):
 def test_thresholds_eval_missing_argument(capsys):
     assert main(["thresholds", "eval", "theta", "--r", "2"]) == 2
     assert "requires --alpha" in capsys.readouterr().err
+
+
+_EVAL_VALID = {"r": "2", "alpha": "1.0", "beta": "0.5", "gamma": "0.25",
+               "eps": "0.1", "n": "100", "ell": "1"}
+_EVAL_FLOATS = ("alpha", "beta", "gamma", "eps")
+
+
+def test_every_eval_quantity_without_a_float_argument_is_listed():
+    # so that the test below reaches every quantity that takes a float
+    no_float = {name for name, (_, needed) in _EVAL_SPECS.items()
+                if not set(needed) & set(_EVAL_FLOATS)}
+    assert no_float == {"critical_alpha", "critical_alpha_H", "zeta_three_halves"}
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, field) for name, (_, needed) in _EVAL_SPECS.items()
+     for field in needed if field in _EVAL_FLOATS],
+)
+def test_thresholds_eval_rejects_a_non_finite_argument(name, field, bad, capsys):
+    argv = ["thresholds", "eval", name]
+    for f in _EVAL_SPECS[name][1]:
+        argv += [f"--{f}", _EVAL_VALID[f]]
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out)
+    argv[argv.index(f"--{field}") + 1] = bad
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+def test_sweep_rejects_an_infinite_alpha_by_name(capsys):
+    argv = ["gnp", "susceptibility-sweep", "--n", "50", "--alphas", "inf",
+            "--trials", "2"]
+    assert main(argv) == 2
+    assert "alpha must be finite and positive, got inf" in capsys.readouterr().err
 
 
 def test_thresholds_verify_fast_clean(capsys):

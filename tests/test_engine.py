@@ -643,6 +643,64 @@ def test_from_arrays_rejects_pair_indices_out_of_order_or_range(case, defect, at
         Graph.from_arrays(n, idx)
 
 
+def _cut(idx, cuts):
+    """idx in pieces at the positions cuts (any values; empty pieces and
+    cuts inside a row's run included)."""
+    at = sorted(c % (idx.shape[0] + 1) for c in cuts)
+    return [idx[a:b] for a, b in zip([0, *at], [*at, idx.shape[0]])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_pair_index_sets(),
+    cuts=st.lists(st.integers(0, 2**32 - 1), max_size=12),
+    room=st.sampled_from(["none", "one", "exact", "more"]),
+    picks=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+)
+def test_from_arrays_in_pieces_matches_one_array(case, cuts, room, picks):
+    n, idx = case
+    m = idx.shape[0]
+    size = {"none": 0, "one": 1, "exact": m, "more": m + 7}[room]
+    want = Graph.from_arrays(n, idx)
+    g = Graph.from_arrays(n, iter(_cut(idx, cuts)), size)  # grown past size
+    assert g.n == n and g.m == m
+    assert np.array_equal(g._first, want._first)
+    assert np.array_equal(g._v, want._v)
+    xs = np.array([p % n for p in picks] if n else [], dtype=np.int64)
+    for a, b in zip(g.rows(xs), want.rows(xs)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(g.indptr, want.indptr)
+    assert np.array_equal(g.indices, want.indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_pair_index_sets(),
+    defect=st.sampled_from(["repeated", "decreasing", "past_total"]),
+    at=st.integers(0, 2**32 - 1),
+    gap=st.booleans(),
+)
+def test_from_arrays_rejects_pieces_out_of_order_or_range(case, defect, at, gap):
+    # every piece is in order and in range on its own: the defect lies
+    # across a boundary, or in a later piece
+    n, idx = case
+    total = n * (n - 1) // 2
+    if defect != "past_total" and idx.shape[0] < 2:
+        n, total, idx = 3, 3, np.array([0, 2], dtype=np.int64)
+    j = 1 + at % max(1, idx.shape[0] - 1)
+    if defect == "repeated":
+        pieces = [idx[: j + 1], idx[j:]]
+    elif defect == "decreasing":
+        pieces = [idx[j:], idx[:j]]
+    else:
+        pieces = [idx, np.array([total + at % 3], dtype=np.int64)]
+    if gap:  # an empty piece between
+        pieces.insert(1, idx[:0])
+    assert all((np.diff(piece) > 0).all() for piece in pieces)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Graph.from_arrays(n, iter(pieces), idx.shape[0])
+
+
 @pytest.mark.parametrize(
     "n, u, v",
     [

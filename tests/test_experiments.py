@@ -137,6 +137,112 @@ def test_geometric_equals_numpy_draws(p, size, key):
     assert gens[0].integers(0, 2**63) == gens[1].integers(0, 2**63)
 
 
+def _whole_batch_pair_indices(n, p, rng):
+    """The sampler with each batch of gaps drawn, summed and cut as one
+    array, not a block at a time."""
+    total = n * (n - 1) // 2
+    if p <= 0.0 or total == 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    chunks, pos = [], -1
+    mean = total * p
+    batch = int(mean + 5 * math.sqrt(mean + 1) + 16)
+    while pos < total:
+        idx = X._geometric(rng, p, batch)
+        np.minimum(idx, total + 1, out=idx)
+        np.cumsum(idx, out=idx)
+        idx += pos
+        pos = int(idx[-1])
+        chunks.append(idx)
+        batch = max(16, int((total - pos) * p + 5 * math.sqrt(mean + 1) + 16))
+    chunks[-1] = idx[: idx.searchsorted(total)]
+    return np.concatenate(chunks)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 300)),
+    p=st.one_of(
+        st.sampled_from(
+            [0.0, 1e-320, 1e-300, 1e-19, 1e-3, 0.05, np.nextafter(1 / 3, 0.0),
+             1 / 3, 0.5, 0.999, 1.0]
+        ),
+        st.floats(0.0, 1.0),
+    ),
+    block=st.one_of(st.sampled_from([1, 2, 1 << 16]), st.integers(1, 300)),
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+def test_streamed_decode_matches_from_arrays_on_the_whole_sample(n, p, block, key):
+    # the pieces draw the variates the whole batches drew, in any block
+    # size (1 included, and small ones that split rows), the over-drawn
+    # tail included, and decode as the concatenated indices do
+    gens = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+            for _ in range(3)]
+    want_idx = _whole_batch_pair_indices(n, p, gens[0])
+    with mock.patch.object(X, "SAMPLE_BLOCK", block):
+        idx = X._sample_pair_indices(n, p, gens[1])
+        size, pieces = X._pair_index_pieces(n, p, gens[2])
+        pieces = list(pieces)
+    assert np.array_equal(idx, want_idx) and idx.dtype == np.int64
+    assert all(piece.shape[0] <= block for piece in pieces)
+    assert size >= idx.shape[0]
+    draws = [g.integers(0, 2**63) for g in gens]
+    assert draws[0] == draws[1] == draws[2]
+    want = Graph.from_arrays(n, idx)
+    got = Graph.from_arrays(n, iter(pieces), size)
+    assert got.n == n and got.m == want.m == idx.shape[0]
+    assert np.array_equal(got._first, want._first)
+    assert np.array_equal(got._v, want._v) and got._v.dtype == np.int64
+    xs = np.arange(n)[::3]
+    for a, b in zip(got.rows(xs), want.rows(xs)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_pieces_span_batches_past_the_first(block):
+    # gaps of 1 or 2 fall far short of the room the first batch leaves at
+    # p = 0.01, so the sampler draws batch after batch, and the buffers
+    # sized by the first batch must grow
+    def short_gaps(rng, p, size):
+        return rng.integers(1, 3, size=size)
+
+    n, p = 60, 0.01
+    gens = [np.random.Generator(np.random.Philox(key=5)) for _ in range(3)]
+    with mock.patch.object(X, "_geometric", short_gaps), \
+            mock.patch.object(X, "SAMPLE_BLOCK", block):
+        want = _whole_batch_pair_indices(n, p, gens[0])
+        idx = X._sample_pair_indices(n, p, gens[1])
+        size, pieces = X._pair_index_pieces(n, p, gens[2])
+        got = Graph.from_arrays(n, pieces, size)
+    assert want.shape[0] > 2 * size
+    assert np.array_equal(idx, want)
+    whole = Graph.from_arrays(n, want)
+    assert np.array_equal(got._first, whole._first)
+    assert np.array_equal(got._v, whole._v)
+    draws = [g.integers(0, 2**63) for g in gens]
+    assert draws[0] == draws[1] == draws[2]
+
+
+def test_seeded_trial_holds_one_pair_array_at_a_time():
+    # criterion 11's graphs: the pair indices exist a block at a time, so
+    # the decoded v (8 bytes a pair) is the one m-sized array alive
+    n = 100_000
+    args = (n, 2, theta(2, 0.125, n), 12, "random", 1000, 13, 0)
+    m = X._sample_pair_indices(n, args[2], trial_rng(13, 0)).shape[0]
+    X._seeded_trial(args)
+    tracemalloc.start()
+    try:
+        X._seeded_trial(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 1_500_000
+    assert peak < 1.75 * 8 * m
+
+
 def test_sample_gnp_edge_count_concentration():
     n, p = 2000, 0.001
     g = X.sample_gnp(n, p, 42)

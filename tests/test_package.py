@@ -2,6 +2,8 @@
 the package imports."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -152,3 +154,30 @@ def test_the_library_scan_catches_each_form(tmp_path):
         (1, "assert"), (4, "bare except"), (8, "except Exception"),
         (12, "except Exception"),
     ]
+
+
+def _bench_spans():
+    """bench/spans.py, loaded from its file: the names its tracer wraps."""
+    path = Path(bootperc.__file__).resolve().parents[2] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    # the tracer looks these up by name when it installs, so a rename in
+    # the library would leave a per-layer metric reading 0
+    spans = _bench_spans()
+    missing = []
+    for mod_name, attr, *_ in spans._FUNCTIONS:
+        if not callable(getattr(importlib.import_module(mod_name), attr, None)):
+            missing.append(f"{mod_name}.{attr}")
+    for kind, table in ((None, spans._METHODS), (classmethod, spans._CLASSMETHODS)):
+        for mod_name, cls_name, attr, *_ in table:
+            cls = getattr(importlib.import_module(mod_name), cls_name, None)
+            found = vars(cls).get(attr) if isinstance(cls, type) else None
+            if not (callable(found) if kind is None else isinstance(found, kind)):
+                missing.append(f"{mod_name}.{cls_name}.{attr}")
+    assert spans._FUNCTIONS and spans._METHODS and spans._CLASSMETHODS
+    assert missing == []
