@@ -4,20 +4,26 @@ Each case runs `bootperc.cli.main` with `--out` and compares the SHA-256 of
 the file it writes with a pinned hash.  The cases cover every G(n,p)
 estimator in CSV and JSON (including the seed-policy "all" paths, alpha
 lists given out of order, one pki case at n = 10^5 and both sweeps at the
-gnp-threshold benchmark's sizes), branching-process
+gnp-threshold benchmark's sizes), one graph sample, branching-process
 survival for one eps, for a sweep and with walks ending at the hard cap, the
-hitting MC at r = 2 and r = 3, the bp-mc benchmark's three commands at
-20,000 trials, count tables of all three variants, and the
+exact hitting probability alone and with the MC at r = 2 and r = 3, the
+bp-mc benchmark's three commands at 20,000 trials, count tables of all
+three variants, one normalized count, one threshold scalar, the exact
+benchmark's three growth-eigenvalue solves at ell = 40, and the
 inequality verifier on the --fast grid and on the default grid.
 A refactor that keeps every RNG draw in order and every formatter
 unchanged keeps these hashes; any change to output bytes shows here.
+
+A second test runs a small command of every subcommand twice, to stdout
+and with `--out`, and requires the same bytes both ways.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from bootperc.cli import main
+from bootperc.cli import _build_parser, main
 
 GOLDEN = {
     "gnp-pki-csv": (
@@ -82,6 +88,10 @@ GOLDEN = {
          "2.0", "--trials", "10", "--seed", "22", "--format", "json"],
         "34911084c48be0e616d1dd06c7248702028259a9fddacfc9994d2b2223036182",
     ),
+    "gnp-sample": (
+        ["gnp", "sample", "--n", "200", "--p", "0.05", "--seed", "7"],
+        "dba28dccf51856d27d20a6e553a8540edac099fa5845bb0f76f4219f2d119725",
+    ),
     "bp-survive-one": (
         ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "2000",
          "--seed", "1"],
@@ -97,6 +107,10 @@ GOLDEN = {
         ["bp", "survive", "--r", "2", "--eps", "0.2", "--trials", "500",
          "--m", "1000000", "--seed", "3"],
         "49f1d2b40798a58de48965c8f85c53433972e861af46b8333bf495121e5abb5c",
+    ),
+    "bp-hit-exact": (
+        ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2"],
+        "2facaf7f2c31d48da2f0da0f25b6fb9c121c6ab1a118db094a122ac31aaf1f26",
     ),
     "bp-hit-mc": (
         ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2",
@@ -142,6 +156,27 @@ GOLDEN = {
          "triangle_free_lower_level_bounded", "--level-bound", "6"],
         "4eb2280eacabb611575d22341ae78f991dd88f008378a3edafd0ce165e60a2f7",
     ),
+    "counts-normalized": (
+        ["counts", "normalized", "--r", "2", "--k", "6", "--i", "2"],
+        "5cc802195f097ea1b10c018b854ebaa6d36549a2fcde9da5cecbac2af24bcaff",
+    ),
+    # the exact benchmark workload's three growth-eigenvalue solves
+    "spectral-psi-r2-ell40": (
+        ["spectral", "lambda", "--r", "2", "--ell", "40", "--method", "psi"],
+        "fd03d7181d7f6b9e6a566a4869855a3fde990ebd93370e3162d21feda3c5de32",
+    ),
+    "spectral-dlambda-r2-ell40": (
+        ["spectral", "lambda", "--r", "2", "--ell", "40", "--method", "dlambda"],
+        "7511b03d5250e7df4929477d37c219464d43635fcae83ce5e1e6884c9384d718",
+    ),
+    "spectral-dlambda-r3-ell40": (
+        ["spectral", "lambda", "--r", "3", "--ell", "40", "--method", "dlambda"],
+        "1871a3c7e89b50c0d3c1c798eeced8454a8b60bfd65d7515db244e4b1db82541",
+    ),
+    "thresholds-eval-beta-star": (
+        ["thresholds", "eval", "beta_star", "--r", "2", "--alpha", "0.25"],
+        "3c3bf45aae87de1dd4aaacc0e63a1206ff997f6eea16f448599541b162efa2f2",
+    ),
     "thresholds-verify-fast": (
         ["thresholds", "verify", "--r", "2", "3", "4", "--fast"],
         "c2f3b8ba08074bb6d4011fa7cc4e944f0fa708f6c91486f89aad22fe7c248212",
@@ -161,3 +196,78 @@ def test_cli_output_bytes_are_golden(name, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+# One small command of every subcommand, and the other output shape of the
+# commands that have two.
+SMALL = {
+    "thresholds-eval": ["thresholds", "eval", "theta", "--r", "2", "--alpha",
+                        "1.0", "--n", "100"],
+    "thresholds-verify": ["thresholds", "verify", "--r", "2", "--fast",
+                          "--claims", "penalized_min"],
+    "counts-table": ["counts", "table", "--r", "3", "--k-max", "9"],
+    "counts-normalized": ["counts", "normalized", "--r", "3", "--k", "7",
+                          "--i", "2", "--kind", "rho_hat"],
+    "bp-survive-one": ["bp", "survive", "--r", "2", "--eps", "0.2",
+                       "--trials", "200", "--seed", "1"],
+    "bp-survive-sweep": ["bp", "survive", "--r", "2", "--eps", "0.1", "0.2",
+                         "--trials", "100", "--seed", "2"],
+    "bp-hit": ["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "1",
+               "--mc", "--trials", "200", "--seed", "3"],
+    "spectral-lambda": ["spectral", "lambda", "--r", "2", "--ell", "6"],
+    "gnp-sample": ["gnp", "sample", "--n", "30", "--r", "2", "--alpha", "1.0",
+                   "--seed", "4"],
+    "gnp-pki-csv": ["gnp", "pki", "--n", "60", "--r", "2", "--p", "0.08",
+                    "--trials", "3", "--seeds-per-graph", "4", "--k-max", "6",
+                    "--seed", "5"],
+    "gnp-pki-json": ["gnp", "pki", "--n", "60", "--r", "2", "--p", "0.08",
+                     "--trials", "3", "--seeds-per-graph", "4", "--k-max", "6",
+                     "--seed", "5", "--format", "json"],
+    "gnp-seed-edge-sweep-csv": ["gnp", "seed-edge-sweep", "--n", "40",
+                                "--alphas", "0.5", "3.0", "--trials", "3",
+                                "--seed", "6"],
+    "gnp-seed-edge-sweep-json": ["gnp", "seed-edge-sweep", "--n", "40",
+                                 "--alphas", "0.5", "3.0", "--trials", "3",
+                                 "--seed", "6", "--format", "json"],
+    "gnp-susceptibility-sweep-csv": ["gnp", "susceptibility-sweep", "--n",
+                                     "40", "--alphas", "0.5", "3.0",
+                                     "--trials", "3", "--seed", "7"],
+    "gnp-susceptibility-sweep-json": ["gnp", "susceptibility-sweep", "--n",
+                                      "40", "--alphas", "0.5", "3.0",
+                                      "--trials", "3", "--seed", "7",
+                                      "--format", "json"],
+    "gnp-terminal-csv": ["gnp", "terminal", "--n", "40", "--r", "2", "--p",
+                         "0.1", "--trials", "3", "--seeds-per-graph", "3",
+                         "--seed", "8"],
+    "gnp-terminal-json": ["gnp", "terminal", "--n", "12", "--r", "2", "--p",
+                          "0.3", "--trials", "2", "--seed-policy", "all",
+                          "--seed", "8", "--format", "json"],
+}
+
+
+def _subcommands():
+    """(group, command) for every subcommand of the parser."""
+    def choices(parser):
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return {(group, cmd) for group, sub in choices(_build_parser()).items()
+            for cmd in choices(sub)}
+
+
+def test_small_commands_cover_every_subcommand():
+    covered = {tuple(argv[:2]) for argv in SMALL.values()}
+    assert len(_subcommands()) == 12
+    assert covered == _subcommands()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_stdout_and_out_file_carry_the_same_bytes(name, tmp_path, capsys):
+    argv = SMALL[name]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and printed == out.read_bytes()
