@@ -3,35 +3,47 @@
 Subcommand groups: thresholds (scalar evaluation and inequality
 verification), counts (tables and normalizations), bp (branching process
 survival and hitting probabilities), spectral (growth eigenvalue), gnp
-(Monte Carlo experiments).  Outputs are JSON on stdout unless a CSV table
-is requested; identical invocations produce byte-identical output.
+(Monte Carlo experiments).  Outputs are JSON unless a CSV table is
+requested; every command writes them through _output, to the --out file or
+to stdout, with the same bytes either way, and identical invocations
+produce byte-identical output.
 
 Exit codes: 0 on success, 2 on configuration errors, 1 when a
 verification run finds violations.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from . import branching, counting, spectral, thresholds
+from . import branching, counting, engine, spectral, thresholds
 from . import experiments as X
 
 __all__ = ["main"]
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fp:
-            fp.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """The command's output stream: the file at path, or stdout."""
+    if path:
+        with open(path, "w") as fp:
+            yield fp
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, path) -> None:
+    with _output(path) as fp:
+        fp.write(text)
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -48,14 +60,6 @@ def _csv_text(header, rows) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_json(payload, out_path) -> None:
-    _emit(_json_text(payload), out_path)
-
-
-def _emit_csv(header, rows, out_path) -> None:
-    _emit(_csv_text(header, rows), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,7 @@ def _cmd_thresholds_eval(args) -> int:
         kwargs[field] = value
     payload = {"name": args.name, "value": fn(*(kwargs[f] for f in needed))}
     payload.update(kwargs)
-    _emit_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -121,18 +125,13 @@ def _cmd_counts_table(args) -> int:
         args.r, args.k_max, variant=args.variant, level_bound=args.level_bound
     )
     # Streamed row by row: at k_max = 200 the text runs to 14 MB.
-    if args.out:
-        with open(args.out, "w") as fp:
-            counting.table_to_csv(table, fp)
-    else:
-        counting.table_to_csv(table, sys.stdout)
+    with _output(args.out) as fp:
+        counting.table_to_csv(table, fp)
     return 0
 
 
 def _cmd_counts_normalized(args) -> int:
-    record = counting.normalized(
-        args.r, args.k, args.i, kind=args.kind, eps=args.eps
-    )
+    record = counting.normalized(args.r, args.k, args.i, kind=args.kind)
     _emit(record.to_json_record() + "\n", args.out)
     return 0
 
@@ -152,13 +151,13 @@ def _cmd_bp_survive(args) -> int:
         for eps in args.eps
     ]
     if len(estimates) == 1:
-        _emit_json(dataclasses.asdict(estimates[0]), args.out)
+        text = _json_text(dataclasses.asdict(estimates[0]))
     else:
-        _emit_csv(
+        text = _csv_text(
             ("eps", "p_hat", "stderr", "asymptotic"),
             [(e.eps, e.p_hat, e.stderr, e.asymptotic) for e in estimates],
-            args.out,
         )
+    _emit(text, args.out)
     return 0
 
 
@@ -172,7 +171,7 @@ def _cmd_bp_hit(args) -> int:
         payload["p_hat"] = est.p_hat
         payload["stderr"] = est.stderr
         payload["trials"] = est.trials
-    _emit_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -200,7 +199,7 @@ def _cmd_spectral_lambda(args) -> int:
             "lambda": report["lambda"],
             "iterations": report["inner_iterations"],
         }
-    _emit_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -217,20 +216,26 @@ def _gnp_p(args) -> float:
 
 
 def _cmd_gnp_sample(args) -> int:
-    p = _gnp_p(args)
-    graph = X.sample_gnp(args.n, p, args.seed)
-    import io
-
-    from .engine import write_graph
-
-    buf = io.StringIO()
-    write_graph(graph, buf)
-    _emit(buf.getvalue(), args.out)
+    graph = X.sample_gnp(args.n, _gnp_p(args), args.seed)
+    with _output(args.out) as fp:
+        engine.write_graph(graph, fp)
     return 0
 
 
-def _cmd_gnp_pki(args) -> int:
-    cfg = X.ExperimentConfig(
+def _emit_table(header, rows, args, **scalars) -> None:
+    """A G(n,p) estimate's rows: in CSV, columns in header order; in JSON,
+    records keyed by the header, under "records" beside the estimate's
+    scalar fields when it has any."""
+    if args.format == "csv":
+        _emit(_csv_text(header, rows), args.out)
+        return
+    records = [dict(zip(header, row)) for row in rows]
+    _emit(_json_text({**scalars, "records": records} if scalars else records),
+          args.out)
+
+
+def _seeded_config(args, **extra) -> X.ExperimentConfig:
+    return X.ExperimentConfig(
         n=args.n,
         r=args.r,
         alpha=args.alpha,
@@ -239,24 +244,22 @@ def _cmd_gnp_pki(args) -> int:
         rng_seed=args.seed,
         seed_policy=args.seed_policy,
         seeds_per_graph=args.seeds_per_graph,
-        k_max=args.k_max,
+        **extra,
     )
-    est = X.estimate_Pki(cfg, workers=args.workers)
-    if args.format == "json":
-        _emit_json(est.to_json_payload(), args.out)
-    else:
-        _emit_csv(("k", "i", "frequency", "stderr", "comparator"), est.rows(), args.out)
+
+
+def _cmd_gnp_pki(args) -> int:
+    est = X.estimate_Pki(_seeded_config(args, k_max=args.k_max),
+                         workers=args.workers)
+    _emit_table(("k", "i", "frequency", "stderr", "comparator"), est.rows(),
+                args, n=est.n, r=est.r, p=est.p, eps=est.eps,
+                seed_trials=est.seed_trials)
     return 0
 
 
 def _emit_points(points, header, args) -> None:
-    """Sweep points as JSON records of their fields, or as CSV columns in
-    header order."""
-    if args.format == "json":
-        _emit_json([dataclasses.asdict(pt) for pt in points], args.out)
-    else:
-        rows = [[getattr(pt, name) for name in header] for pt in points]
-        _emit_csv(header, rows, args.out)
+    _emit_table(header, [[getattr(pt, name) for name in header] for pt in points],
+                args)
 
 
 def _cmd_gnp_seed_edge_sweep(args) -> int:
@@ -270,11 +273,7 @@ def _cmd_gnp_seed_edge_sweep(args) -> int:
 
 def _cmd_gnp_susceptibility_sweep(args) -> int:
     points = X.susceptibility_sweep(
-        args.n,
-        args.r,
-        args.alphas,
-        trials=args.trials,
-        rng_seed=args.seed,
+        args.n, args.alphas, trials=args.trials, rng_seed=args.seed,
         workers=args.workers,
     )
     header = (
@@ -293,32 +292,9 @@ def _cmd_gnp_susceptibility_sweep(args) -> int:
 
 
 def _cmd_gnp_terminal(args) -> int:
-    cfg = X.ExperimentConfig(
-        n=args.n,
-        r=args.r,
-        alpha=args.alpha,
-        p=args.p,
-        trials=args.trials,
-        rng_seed=args.seed,
-        seed_policy=args.seed_policy,
-        seeds_per_graph=args.seeds_per_graph,
-    )
-    term = X.terminal_set_frequency(cfg, workers=args.workers)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": term.n,
-                "r": term.r,
-                "p": term.p,
-                "seed_trials": term.seed_trials,
-                "records": [
-                    {"k": k, "i": i, "frequency": f} for k, i, f in term.rows()
-                ],
-            },
-            args.out,
-        )
-    else:
-        _emit_csv(("k", "i", "frequency"), term.rows(), args.out)
+    term = X.terminal_set_frequency(_seeded_config(args), workers=args.workers)
+    _emit_table(("k", "i", "frequency"), term.rows(), args, n=term.n, r=term.r,
+                p=term.p, seed_trials=term.seed_trials)
     return 0
 
 
@@ -405,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     nm.add_argument("--k", type=int, required=True)
     nm.add_argument("--i", type=int, required=True)
     nm.add_argument("--kind", choices=("sigma", "rho_hat"), default="sigma")
-    nm.add_argument("--eps", type=float, default=None)
     _add_out(nm)
     nm.set_defaults(func=_cmd_counts_normalized)
 
@@ -495,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "frac_within_beta,p,trials",
     )
     su.add_argument("--n", type=int, required=True)
-    su.add_argument("--r", type=int, default=2)
     su.add_argument("--alphas", type=float, nargs="+", required=True)
     su.add_argument("--trials", type=int, default=200)
     su.add_argument("--seed", type=int, default=0)

@@ -330,7 +330,6 @@ class NormalizedCount:
     i: int
     kind: str  # "sigma" | "rho_hat"
     log_value: float
-    eps: float | None = None
 
     @property
     def value(self) -> float:
@@ -351,19 +350,16 @@ def normalized(
     k: int,
     i: int,
     kind: str = "sigma",
-    eps: float | None = None,
     table: CountTable | None = None,
 ) -> NormalizedCount:
     """sigma or rho_hat normalization of a table entry, in log space.
 
     sigma normalizes exact counts, rho_hat the triangle-free lower-bound
-    counts.  eps is provenance only (recorded, never used in the value).
-    A table of the matching variant may be passed; otherwise one is built.
+    counts.  A table of the matching variant may be passed; otherwise one
+    is built.
     """
     if kind not in ("sigma", "rho_hat"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "rho_hat" and eps is not None and eps <= 0:
-        raise ValueError("eps must be positive when given")
     if not (r < k and 1 <= i <= k - r):
         raise ValueError(f"need r < k and 1 <= i <= k - r, got r={r}, k={k}, i={i}")
     if table is None:
@@ -371,8 +367,7 @@ def normalized(
         table = build_count_table(r, k, variant=variant)
     m = table.entry(k, i)
     if m == 0:
-        return NormalizedCount(r=r, k=k, i=i, kind=kind, eps=eps,
-                               log_value=float("-inf"))
+        return NormalizedCount(r=r, k=k, i=i, kind=kind, log_value=float("-inf"))
     logm = log(m)  # exact-path log of a big integer
     if kind == "sigma":
         log_value = logm - lgamma(k - r + 1) + k * (lgamma(r) - (r - 1) * log(k))
@@ -380,7 +375,7 @@ def normalized(
         log_value = logm - lgamma(k - r + 1) + k * (
             lgamma(r) - log(k - i) - (r - 2) * log(k)
         )
-    return NormalizedCount(r=r, k=k, i=i, kind=kind, eps=eps, log_value=log_value)
+    return NormalizedCount(r=r, k=k, i=i, kind=kind, log_value=log_value)
 
 
 # ----------------------------------------------------------------------

@@ -365,6 +365,8 @@ class ExperimentConfig:
     k_max: int = 12
 
     def __post_init__(self):
+        if self.r < 2:
+            raise ValueError(f"threshold r must be >= 2, got {self.r}")
         if self.n < self.r:
             raise ValueError("need n >= r")
         if (self.alpha is None) == (self.p is None):
@@ -531,33 +533,14 @@ class PkiEstimate:
     comparator: Optional[dict]
 
     def rows(self):
-        keys = sorted(set(self.freq) | set(self.comparator or {}))
-        out = []
-        for k, i in keys:
-            f = self.freq.get((k, i), 0.0)
-            s = self.stderr.get((k, i), 0.0)
-            c = (self.comparator or {}).get((k, i))
-            out.append((k, i, f, s, c if c is not None else ""))
-        return out
-
-    def to_json_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "p": self.p,
-            "eps": self.eps,
-            "seed_trials": self.seed_trials,
-            "records": [
-                {
-                    "k": k,
-                    "i": i,
-                    "frequency": f,
-                    "stderr": s,
-                    "comparator": c if c != "" else None,
-                }
-                for k, i, f, s, c in self.rows()
-            ],
-        }
+        """(k, i, frequency, stderr, comparator) in key order; the
+        comparator is None where it was not computed."""
+        comparator = self.comparator or {}
+        return [
+            (k, i, self.freq.get((k, i), 0.0), self.stderr.get((k, i), 0.0),
+             comparator.get((k, i)))
+            for k, i in sorted(set(self.freq) | set(comparator))
+        ]
 
 
 def estimate_Pki(config: ExperimentConfig, workers: int = 0) -> PkiEstimate:
@@ -840,12 +823,7 @@ class SusceptibilityPoint:
 
 
 def susceptibility_sweep(
-    n: int,
-    r: int,
-    alpha_list,
-    trials: int,
-    rng_seed: int,
-    workers: int = 0,
+    n: int, alpha_list, trials: int, rng_seed: int, workers: int = 0
 ) -> list[SusceptibilityPoint]:
     """Exhaustive 2-susceptibility and max-spread statistics per alpha.
 
@@ -855,8 +833,6 @@ def susceptibility_sweep(
     spreads are reported normalized by log n and compared against
     beta_star(alpha) + 1 (finite-size slack of one growth unit).
     """
-    if r != 2:
-        raise ValueError("only the exhaustive r=2 sweep is implemented")
     if n > SUSCEPTIBILITY_N_CAP:
         raise ValueError(f"exhaustive susceptibility capped at n <= {SUSCEPTIBILITY_N_CAP}")
     alphas, ps, outcomes = _marked_sweep(

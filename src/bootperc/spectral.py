@@ -51,6 +51,9 @@ __all__ = [
 # relatively; below eps/100 only exactly equal ratios could pass it.
 PERRON_MIN_TOL = float(np.finfo(np.float64).eps) / 100
 
+# perron raises ConvergenceError after this many power iterations.
+PERRON_MAX_ITER = 500_000
+
 # dlambda_report stops at |rho(D_lambda A) - 1| < tol, with rho from a power
 # iteration that is itself accurate to a few units in the last place.
 # Measured over r = 2..5 and ell in {2, 3, 5, 10, 20, 30, 40, 64}: no case
@@ -217,9 +220,7 @@ def _check_tol(tol: float, floor: float) -> None:
         )
 
 
-def perron(
-    M: np.ndarray | CompanionPsi, tol: float = 1e-13, max_iter: int = 500_000
-) -> PerronResult:
+def perron(M: np.ndarray | CompanionPsi, tol: float = 1e-13) -> PerronResult:
     """Dominant eigenvalue and unit-sum eigenvector of a nonnegative matrix.
 
     M is a square array or a `CompanionPsi`, whose entries are checked on
@@ -253,7 +254,7 @@ def perron(
         )
     v = np.full(n, 1.0 / n)
     rayleigh = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, PERRON_MAX_ITER + 1):
         w = M @ v
         top = float(w.max())
         if top <= 0.0:
@@ -271,7 +272,7 @@ def perron(
             return PerronResult(new_rayleigh, vec, it)
         rayleigh = new_rayleigh
         v = w / top
-    raise ConvergenceError(f"no convergence within {max_iter} iterations")
+    raise ConvergenceError(f"no convergence within {PERRON_MAX_ITER} iterations")
 
 
 def _scaled_dlambda(log_A: np.ndarray, lam: float) -> tuple[np.ndarray, float]:

@@ -306,7 +306,7 @@ def test_criterion_10_gnp_qualitative_thresholds():
     lo, mid, hi = points
     freqs = [pt.frequency for pt in points]
     sus = X.susceptibility_sweep(
-        2000, 2, (0.0125, 5.0), trials=200, rng_seed=12, workers=WORKERS
+        2000, (0.0125, 5.0), trials=200, rng_seed=12, workers=WORKERS
     )
     sub, sup = sus
     elapsed = time.perf_counter() - t0

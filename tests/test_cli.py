@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bootperc import counting
+from bootperc import experiments as X
 from bootperc.cli import _EVAL_SPECS, _build_parser, main
 from bootperc.engine import read_graph
 
@@ -367,6 +368,29 @@ def test_gnp_terminal_ignores_k_max(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "k,i,frequency"
     assert sum(float(line.split(",")[2]) for line in lines[1:]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # numpy's "negative dimensions are not allowed"
+        ["gnp", "terminal", "--n", "10", "--r", "0", "--p", "0.5", "--trials", "2"],
+        # ran every graph, then failed building the comparator table
+        ["gnp", "pki", "--n", "20000", "--r", "1", "--p", "0.0001",
+         "--trials", "20", "--seeds-per-graph", "50"],
+        # exited 0
+        ["gnp", "terminal", "--n", "30", "--r", "1", "--p", "0.1", "--trials", "2"],
+        ["gnp", "pki", "--n", "30", "--r", "1", "--alpha", "1.0", "--trials", "2"],
+    ],
+)
+def test_gnp_threshold_below_2_exits_2_before_any_trial(argv, capsys, monkeypatch):
+    def no_trial(args):
+        raise RuntimeError("a trial ran")
+
+    monkeypatch.setattr(X, "_seeded_trial", no_trial)
+    assert main(argv) == 2
+    r = argv[argv.index("--r") + 1]
+    assert capsys.readouterr().err == f"error: threshold r must be >= 2, got {r}\n"
 
 
 def test_gnp_pki_k_max_not_past_r_exits_2(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bootperc import engine
 from bootperc import experiments as X
 from bootperc.branching import trial_rng
-from bootperc.cli import _csv_text, _json_text
+from bootperc.cli import _csv_text, main
 from bootperc.counting import TableBudgetExceeded
 from bootperc.engine import Graph, wedge_pairs
 from bootperc.thresholds import critical_alpha, theta
@@ -577,7 +577,7 @@ def test_estimate_pki_omits_comparator_past_table_budget(monkeypatch):
     with pytest.warns(UserWarning, match="comparator omitted"):
         est = X.estimate_Pki(_small_cfg(k_max=5))
     assert est.comparator is None
-    assert est.freq and all(row[4] == "" for row in est.rows())
+    assert est.freq and all(row[4] is None for row in est.rows())
 
 
 def test_estimate_pki_comparator_errors_propagate(monkeypatch):
@@ -1058,8 +1058,8 @@ def test_sweeps_workers_equivalent():
     assert X.seed_edge_sweep(120, [0.5, 3.0], trials=6, rng_seed=3) == (
         X.seed_edge_sweep(120, [0.5, 3.0], trials=6, rng_seed=3, workers=2)
     )
-    assert X.susceptibility_sweep(60, 2, [0.5, 3.0], trials=6, rng_seed=4) == (
-        X.susceptibility_sweep(60, 2, [0.5, 3.0], trials=6, rng_seed=4, workers=2)
+    assert X.susceptibility_sweep(60, [0.5, 3.0], trials=6, rng_seed=4) == (
+        X.susceptibility_sweep(60, [0.5, 3.0], trials=6, rng_seed=4, workers=2)
     )
 
 
@@ -1069,7 +1069,7 @@ def test_seed_edge_sweep_validation():
 
 
 def test_susceptibility_sweep_separates():
-    pts = X.susceptibility_sweep(300, 2, [0.0125, 5.0], trials=12, rng_seed=6)
+    pts = X.susceptibility_sweep(300, [0.0125, 5.0], trials=12, rng_seed=6)
     lo, hi = pts
     assert lo.susceptible_freq < 0.5 < hi.susceptible_freq
     assert lo.spread_norm_mean < hi.spread_norm_mean
@@ -1079,11 +1079,9 @@ def test_susceptibility_sweep_separates():
 
 def test_susceptibility_sweep_validation():
     with pytest.raises(ValueError):
-        X.susceptibility_sweep(300, 3, [1.0], trials=2, rng_seed=0)
+        X.susceptibility_sweep(5000, [1.0], trials=2, rng_seed=0)
     with pytest.raises(ValueError):
-        X.susceptibility_sweep(5000, 2, [1.0], trials=2, rng_seed=0)
-    with pytest.raises(ValueError):
-        X.susceptibility_sweep(300, 2, [], trials=2, rng_seed=0)
+        X.susceptibility_sweep(300, [], trials=2, rng_seed=0)
 
 
 def test_susceptibility_candidates_are_wedge_pairs():
@@ -1372,11 +1370,19 @@ def test_csv_writer_formats():
     assert text == "a,b,c\n1,0.5,true\n2,1e-17,false\n"
 
 
-def test_json_writer_sorted_and_deterministic():
-    b1 = _json_text(X.estimate_Pki(_small_cfg(k_max=5)).to_json_payload())
-    b2 = _json_text(X.estimate_Pki(_small_cfg(k_max=5)).to_json_payload())
-    assert b1 == b2
+def test_json_writer_sorted_and_deterministic(tmp_path):
+    # _small_cfg(k_max=5) as a `gnp pki` command
+    argv = ["gnp", "pki", "--n", "400", "--r", "2",
+            "--alpha", repr(0.5 * critical_alpha(2)), "--trials", "40",
+            "--seed", "11", "--seeds-per-graph", "25", "--k-max", "5",
+            "--format", "json", "--out"]
+    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main([*argv, str(f1)]) == 0
+    assert main([*argv, str(f2)]) == 0
+    assert f1.read_bytes() == f2.read_bytes()
     import json
 
-    payload = json.loads(b1)
+    payload = json.loads(f1.read_bytes())
     assert payload["n"] == 400 and payload["records"]
+    assert list(payload) == sorted(payload)
+    assert all(list(rec) == sorted(rec) for rec in payload["records"])

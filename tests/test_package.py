@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,68 @@ def test_the_library_scan_catches_each_form(tmp_path):
         (1, "assert"), (4, "bare except"), (8, "except Exception"),
         (12, "except Exception"),
     ]
+
+
+def _output_uses(path):
+    """(top-level function or None, what) for each call of print or open, or
+    of a method named open, write_text or write_bytes, and each use of
+    sys.stdout or sys.stderr, in the file at path."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in ("print", "open"):
+                    found.append((where, func.id))
+                elif isinstance(func, ast.Attribute) and func.attr in (
+                        "open", "write_text", "write_bytes"):
+                    found.append((where, func.attr))
+            elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append((where, f"sys.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += [(where, f"sys.{a.name}") for a in node.names
+                          if a.name in ("stdout", "stderr")]
+    return found
+
+
+def test_only_cli_output_opens_a_command_output():
+    # every command writes through cli._output, the one place that opens
+    # the --out file or takes stdout; main's error line goes to stderr
+    src = Path(bootperc.__file__).parent
+    found = sorted(
+        (path.name, where, what)
+        for path in sorted(src.glob("*.py"))
+        for where, what in _output_uses(path)
+    )
+    assert found == [
+        ("cli.py", "_output", "open"),
+        ("cli.py", "_output", "sys.stdout"),
+        ("cli.py", "main", "print"),
+        ("cli.py", "main", "sys.stderr"),
+    ]
+
+
+def test_the_output_scan_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import sys\n"
+        "from sys import stdout\n"
+        "print(1)\n"
+        "def f(path):\n"
+        "    with open(path, 'w') as fp:\n"
+        "        fp.write('')\n"
+        "    path.write_text('')\n"
+        "    io.open(path).close()\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        sys.stderr.write(sys.stdout.name)\n"
+    )
+    assert Counter(_output_uses(bad)) == Counter([
+        (None, "sys.stdout"), (None, "print"), ("f", "open"), ("f", "write_text"),
+        ("f", "open"), (None, "sys.stderr"), (None, "sys.stdout"),
+    ])
 
 
 def _bench_spans():
