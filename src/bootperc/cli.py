@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -28,12 +29,19 @@ __all__ = ["main"]
 
 @contextlib.contextmanager
 def _output(path):
-    """The command's output stream: the file at path, or stdout."""
+    """The command's output stream: the file at path, or stdout.  A reader
+    that closes stdout early (`| head`) ends the output quietly."""
     if path:
         with open(path, "w") as fp:
             yield fp
-    else:
+        return
+    try:
         yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's buffer still holds text; point the descriptor at devnull
+        # so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(text: str, path) -> None:

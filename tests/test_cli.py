@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -260,6 +263,30 @@ def test_spectral_psi_never_forms_the_lift(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 64**4 / 32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts", "table", "--r", "2", "--k-max", "100"],
+        ["gnp", "sample", "--n", "1000", "--p", "0.5", "--seed", "1"],
+    ],
+    ids=["counts-table", "gnp-sample"],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_output_quietly(argv):
+    # 0.9 and 1.9 MB of text, past what a pipe buffers: the command is still
+    # writing when the reader goes, as under `| head -1`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "bootperc.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith((b"r,k,i,variant,count", b'{"n": 1000')) and err == b""
 
 
 def test_gnp_sample_round_trip(tmp_path):

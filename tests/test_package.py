@@ -185,11 +185,11 @@ def test_only_cli_output_opens_a_command_output():
     # every command writes through cli._output, the one place that opens
     # the --out file or takes stdout; main's error line goes to stderr
     src = Path(bootperc.__file__).parent
-    found = sorted(
+    found = sorted({
         (path.name, where, what)
-        for path in sorted(src.glob("*.py"))
+        for path in src.glob("*.py")
         for where, what in _output_uses(path)
-    )
+    })
     assert found == [
         ("cli.py", "_output", "open"),
         ("cli.py", "_output", "sys.stdout"),
