@@ -170,11 +170,17 @@ def _cmd_bp_survive(args) -> int:
 
 
 def _cmd_bp_hit(args) -> int:
+    if not args.mc:
+        for flag in ("trials", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is read only with --mc")
     exact = branching.hitting_probability_exact(args.r, args.eps, args.k, args.i)
     payload = {"r": args.r, "eps": args.eps, "k": args.k, "i": args.i, "exact": exact}
     if args.mc:
         est = branching.hitting_frequency_mc(
-            args.r, args.eps, args.k, args.i, args.trials, args.seed
+            args.r, args.eps, args.k, args.i,
+            10000 if args.trials is None else args.trials,
+            0 if args.seed is None else args.seed,
         )
         payload["p_hat"] = est.p_hat
         payload["stderr"] = est.stderr
@@ -224,6 +230,10 @@ def _gnp_p(args) -> float:
 
 
 def _cmd_gnp_sample(args) -> int:
+    if args.r is None:
+        args.r = 2
+    elif args.p is not None:
+        raise ValueError("--r is read only with --alpha, not with --p")
     graph = X.sample_gnp(args.n, _gnp_p(args), args.seed)
     with _output(args.out) as fp:
         engine.write_graph(graph, fp)
@@ -416,8 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ht.add_argument("--k", type=int, required=True)
     ht.add_argument("--i", type=int, required=True)
     ht.add_argument("--mc", action="store_true")
-    ht.add_argument("--trials", type=int, default=10000)
-    ht.add_argument("--seed", type=int, default=0)
+    ht.add_argument("--trials", type=int, default=None,
+                    help="MC trials, only with --mc (default 10000)")
+    ht.add_argument("--seed", type=int, default=None,
+                    help="MC seed, only with --mc (default 0)")
     _add_out(ht)
     ht.set_defaults(func=_cmd_bp_hit)
 
@@ -428,7 +440,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--ell", type=int, required=True)
     lm.add_argument("--method", choices=("psi", "dlambda"), default="psi")
     lm.add_argument("--tol", type=float, default=None,
-                    help="default: 1e-13 for psi, 1e-10 for dlambda")
+                    help="psi: relative width of the Collatz-Wielandt "
+                    "bounds; dlambda: |rho(D_lambda A) - 1| (default 1e-13 "
+                    "for psi, 1e-10 for dlambda); a tol below (ell + 1) "
+                    "machine epsilons exits 2 at once")
     _add_out(lm)
     lm.set_defaults(func=_cmd_spectral_lambda)
 
@@ -439,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "sample", help="one graph sample; JSON header {n, edges} then u v lines"
     )
     sm.add_argument("--n", type=int, required=True)
-    sm.add_argument("--r", type=int, default=2)
+    sm.add_argument("--r", type=int, default=None,
+                    help="threshold for --alpha, not with --p (default 2)")
     sm.add_argument("--alpha", type=float, default=None)
     sm.add_argument("--p", type=float, default=None)
     sm.add_argument("--seed", type=int, default=0)

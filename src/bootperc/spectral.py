@@ -32,8 +32,6 @@ __all__ = [
     "SpectralError",
     "NotPrimitiveError",
     "ConvergenceError",
-    "PERRON_MIN_TOL",
-    "DLAMBDA_MIN_TOL",
     "PerronResult",
     "CompanionPsi",
     "build_A",
@@ -47,19 +45,12 @@ __all__ = [
     "dlambda_eigenvector",
 ]
 
-# perron's Collatz-Wielandt test asks the ratios w/v to agree to 100*tol
-# relatively; below eps/100 only exactly equal ratios could pass it.
-PERRON_MIN_TOL = float(np.finfo(np.float64).eps) / 100
-
-# perron raises ConvergenceError after this many power iterations.
+# perron raises ConvergenceError after this many power iterations, or once
+# this many pass without narrowing its Collatz-Wielandt bounds: rounding then
+# holds the iterate in a cycle.  Converging runs narrow at least every 127
+# iterations (psi(A(r, ell)) at its floor; 13 on random 8 x 8 matrices).
 PERRON_MAX_ITER = 500_000
-
-# dlambda_report stops at |rho(D_lambda A) - 1| < tol, with rho from a power
-# iteration that is itself accurate to a few units in the last place.
-# Measured over r = 2..5 and ell in {2, 3, 5, 10, 20, 30, 40, 64}: no case
-# converged at tol = 3e-15, 6 of 32 did at 4e-15 and 18 of 32 at 1e-14
-# (the rest run out of power iterations), and all of them from 3e-13 up.
-DLAMBDA_MIN_TOL = 4e-15
+PERRON_STALL_ITER = 1000
 
 
 class SpectralError(Exception):
@@ -124,12 +115,6 @@ class CompanionPsi:
         np.einsum("ij,ij->i", self.M, x.reshape(ell, ell), out=out[:ell])
         out[ell:] = x[:-ell]
         return out
-
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of psi(M): M[0, 0], then zeros."""
-        d = np.zeros(self.shape[0])
-        d[0] = self.M[0, 0]
-        return d
 
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """Positivity pattern of psi(M) as edge arrays (src, dst): psi(M)
@@ -211,31 +196,25 @@ class PerronResult(NamedTuple):
     iterations: int
 
 
-def _check_tol(tol: float, floor: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if tol < floor:
-        raise ValueError(
-            f"tol must be >= {floor:.3g}, finer than doubles resolve here; got {tol}"
-        )
-
-
 def perron(M: np.ndarray | CompanionPsi, tol: float = 1e-13) -> PerronResult:
-    """Dominant eigenvalue and unit-sum eigenvector of a nonnegative matrix.
+    """Dominant eigenvalue and unit-sum eigenvector of a primitive matrix.
 
     M is a square array or a `CompanionPsi`, whose entries are checked on
     its ell x ell block and whose primitivity on its sparse pattern.
-    Accepts primitive matrices, and also matrices whose diagonal is strictly
-    positive (every communicating class is then aperiodic, so the iteration
-    converges to the largest class radius; the uniform start keeps scaled
-    multiples of the identity exact).  Periodic inputs are rejected.
 
-    Power iteration with max-norm renormalization; stops when successive
-    Rayleigh quotients differ by less than tol and, when the iterate is
-    strictly positive, the Collatz-Wielandt bounds agree to 100*tol
-    relatively.  A tol below PERRON_MIN_TOL is rejected.
+    Power iteration with max-norm renormalization from the uniform vector,
+    which stays positive because M is primitive.  Each step brackets the
+    root by the Collatz-Wielandt bounds lo = min(w/v) <= rho <= max(w/v) = hi
+    of w = M v; the solve stops once hi - lo <= tol * hi and returns their
+    midpoint.  A row with k positive entries gives each ratio w/v a
+    relative rounding error of up to (k + 1) eps, so a tol below that floor,
+    with k the most positive entries in any row, is rejected at once.  Above
+    it, a subdominant eigenvalue close to rho can still stall the bounds
+    short of tol; that ends in ConvergenceError after PERRON_STALL_ITER
+    steps without narrowing, not after the PERRON_MAX_ITER budget.
     """
-    _check_tol(tol, PERRON_MIN_TOL)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if isinstance(M, CompanionPsi):
         entries = M.M
     else:
@@ -246,32 +225,32 @@ def perron(M: np.ndarray | CompanionPsi, tol: float = 1e-13) -> PerronResult:
         raise ValueError("matrix entries must be finite")
     if np.any(entries < 0):
         raise ValueError("matrix entries must be nonnegative")
-    n = M.shape[0]
-    if not (is_primitive(M) or np.all(M.diagonal() > 0)):
-        raise NotPrimitiveError(
-            "power iteration requires a primitive matrix "
-            "(or one with strictly positive diagonal)"
+    # psi(M)'s shift rows hold one positive entry each
+    k = max(int(np.count_nonzero(entries > 0, axis=1).max()), 1)
+    floor = (k + 1) * float(np.finfo(np.float64).eps)
+    if tol < floor:
+        raise ValueError(
+            f"tol must be >= {floor:.3g}, finer than doubles resolve here; got {tol}"
         )
-    v = np.full(n, 1.0 / n)
-    rayleigh = math.inf
+    if not is_primitive(M):
+        raise NotPrimitiveError("power iteration requires a primitive matrix")
+    v = np.full(M.shape[0], 1.0 / M.shape[0])
+    best, best_it = math.inf, 0
     for it in range(1, PERRON_MAX_ITER + 1):
         w = M @ v
-        top = float(w.max())
-        if top <= 0.0:
-            raise ConvergenceError("iterate collapsed to zero")
-        new_rayleigh = float(np.dot(v, w) / np.dot(v, v))
-        converged = abs(new_rayleigh - rayleigh) < tol
-        if converged and np.all(v > 0):
-            ratios = w / v
-            lo, hi = float(ratios.min()), float(ratios.max())
-            converged = hi - lo <= 100 * tol * max(hi, 1e-300)
-            if converged:
-                new_rayleigh = 0.5 * (lo + hi)
-        if converged:
-            vec = v / v.sum()
-            return PerronResult(new_rayleigh, vec, it)
-        rayleigh = new_rayleigh
-        v = w / top
+        ratios = w / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * hi:
+            return PerronResult(0.5 * (lo + hi), v / v.sum(), it)
+        width = (hi - lo) / hi
+        if width < best:
+            best, best_it = width, it
+        elif it - best_it >= PERRON_STALL_ITER:
+            raise ConvergenceError(
+                f"the Collatz-Wielandt bounds stopped narrowing at relative "
+                f"width {best:.3g}, above tol {tol:.3g}"
+            )
+        v = w / w.max()
     raise ConvergenceError(f"no convergence within {PERRON_MAX_ITER} iterations")
 
 
@@ -283,30 +262,27 @@ def _scaled_dlambda(log_A: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     return np.exp(log_entries - shift), shift
 
 
-def _rho_dlambda(log_A: np.ndarray, lam: float, tol: float) -> tuple[float, int]:
-    scaled, shift = _scaled_dlambda(log_A, lam)
-    res = perron(scaled, tol=tol)
-    return res.value * math.exp(shift), res.iterations
-
-
 def dlambda_report(r: int, ell: int, tol: float = 1e-10) -> dict:
     """Solve rho(D_lambda A) = 1 by bisection; returns the root and work counts.
 
     The spectral radius is strictly decreasing in lambda, so the root is
-    unique; the returned lambda satisfies |rho(D_lambda A) - 1| < tol.  A
-    tol below DLAMBDA_MIN_TOL is rejected at once: doubles cannot meet it.
+    unique.  Each rho comes from `perron` at tol itself, within tol/2 of the
+    true radius, and the bisection stops at |rho - 1| <= tol/2, so the
+    returned lambda satisfies |rho(D_lambda A) - 1| < tol.  A tol below
+    perron's floor for D_lambda A, (ell + 1) eps, is rejected by the first
+    solve before it iterates; a tol that lambda's doubles cannot resolve
+    ends the bounded bisection in ConvergenceError.
     """
     _validate_r_ell(r, ell)
-    _check_tol(tol, DLAMBDA_MIN_TOL)
     log_A = build_A_log(r, ell)
-    inner_tol = min(1e-13, tol * 1e-3)
     inner_total = 0
 
     def rho(lam: float) -> float:
         nonlocal inner_total
-        val, its = _rho_dlambda(log_A, lam, inner_tol)
-        inner_total += its
-        return val
+        scaled, shift = _scaled_dlambda(log_A, lam)
+        res = perron(scaled, tol=tol)
+        inner_total += res.iterations
+        return res.value * math.exp(shift)
 
     hi = math.exp(-(r - 2))
     if rho(hi) > 1.0:
@@ -323,7 +299,7 @@ def dlambda_report(r: int, ell: int, tol: float = 1e-10) -> dict:
     for outer in range(1, 201):
         lam = 0.5 * (lo + hi)
         val = rho(lam)
-        if abs(val - 1.0) < tol:
+        if abs(val - 1.0) <= tol / 2:
             break
         if val > 1.0:
             lo = lam

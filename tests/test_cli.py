@@ -221,6 +221,29 @@ def test_spectral_rejects_tol_below_double_resolution_at_once(method, capsys):
     assert capsys.readouterr().err.startswith("error: tol must be >=")
 
 
+def test_spectral_psi_tol_below_its_floor_exits_2_at_once(capsys):
+    # psi(A(2, 40))'s floor is 41 eps = 9.1e-15; 1e-17 ran out the
+    # 500,000-iteration budget (10.6 s) before it exited 2
+    argv = ["spectral", "lambda", "--r", "2", "--ell", "40", "--method", "psi",
+            "--tol", "1e-17"]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err.startswith("error: tol must be >= 9.1e-15")
+
+
+def test_spectral_dlambda_meets_1e13_at_ell_2(capsys):
+    # its inner solves at 1e-16 spent their budget (3.8 s) and exited 2
+    argv = ["spectral", "lambda", "--r", "2", "--ell", "2", "--method",
+            "dlambda", "--tol", "1e-13"]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["iterations"] < 5000
+    assert payload["lambda"] == pytest.approx(0.6628958472738304, rel=1e-12)
+
+
 def _spectral_lambda(capsys, *argv):
     assert main(["spectral", "lambda", "--r", "2", "--ell", "40", *argv]) == 0
     return json.loads(capsys.readouterr().out)
@@ -485,6 +508,34 @@ def test_bp_hit_mc_runs_at_tiny_eps(capsys):
             "--mc", "--trials", "10"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["p_hat"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2",
+          "--trials", "5", "--seed", "9"], "--trials"),
+        (["bp", "hit", "--r", "2", "--eps", "0.1", "--k", "4", "--i", "2",
+          "--seed", "9"], "--seed"),
+        (["gnp", "sample", "--n", "5", "--p", "0.5", "--r", "99", "--seed", "1"],
+         "--r"),
+    ],
+)
+def test_flags_that_would_be_ignored_exit_2(argv, flag, capsys):
+    # bp hit reads --trials and --seed only with --mc; gnp sample reads --r
+    # only with --alpha.  Each command exited 0 and ignored the flag
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} is read only with")
+
+
+def test_gnp_sample_alpha_keeps_r_2_by_default(capsys):
+    argv = ["gnp", "sample", "--n", "30", "--alpha", "1.0", "--seed", "4"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--r", "2"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*argv, "--r", "3"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_unknown_subcommand_exits_2():

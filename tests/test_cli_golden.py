@@ -163,15 +163,15 @@ GOLDEN = {
     # the exact benchmark workload's three growth-eigenvalue solves
     "spectral-psi-r2-ell40": (
         ["spectral", "lambda", "--r", "2", "--ell", "40", "--method", "psi"],
-        "fd03d7181d7f6b9e6a566a4869855a3fde990ebd93370e3162d21feda3c5de32",
+        "5329fa14a0a04bd0ce312c73139f55838b2461ae0158da1ecb4e2675f409725b",
     ),
     "spectral-dlambda-r2-ell40": (
         ["spectral", "lambda", "--r", "2", "--ell", "40", "--method", "dlambda"],
-        "7511b03d5250e7df4929477d37c219464d43635fcae83ce5e1e6884c9384d718",
+        "158abe91bd980d45cfb4524de23f52909b916a55613e90c46477c9aea218ba45",
     ),
     "spectral-dlambda-r3-ell40": (
         ["spectral", "lambda", "--r", "3", "--ell", "40", "--method", "dlambda"],
-        "1871a3c7e89b50c0d3c1c798eeced8454a8b60bfd65d7515db244e4b1db82541",
+        "99d014fc32a399aca5ec34f7ff39325bedf82c5010dd3984c220f6ac57cd464c",
     ),
     "thresholds-eval-beta-star": (
         ["thresholds", "eval", "beta_star", "--r", "2", "--alpha", "0.25"],

@@ -6,10 +6,12 @@ characterization), which agreed to ~1e-12 everywhere.
 """
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -107,7 +109,6 @@ def test_companion_operator_matches_dense(case):
     x[rng.random(M.size) < 0.2] = 0.0
     got, want = psi @ x, P @ x
     assert np.all(np.abs(got - want) <= 1e-15 * want)
-    assert np.array_equal(psi.diagonal(), np.diagonal(P))
     assert sp.is_primitive(psi) == sp.is_primitive(P)
 
 
@@ -178,9 +179,9 @@ def test_perron_symmetric_2x2():
 
 
 def test_perron_scaled_identity():
-    res = sp.perron(3.0 * np.eye(4))
-    assert res.value == pytest.approx(3.0, rel=1e-14)
-    assert np.allclose(res.vector, 0.25)
+    # reducible: each coordinate is its own class
+    with pytest.raises(sp.NotPrimitiveError):
+        sp.perron(3.0 * np.eye(4))
 
 
 def test_perron_rejects_periodic():
@@ -201,17 +202,100 @@ def test_perron_and_dlambda_reject_bad_tol(tol):
         sp.dlambda_report(2, 5, tol=tol)
 
 
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _floor(M: np.ndarray) -> float:
+    """(k + 1) eps, k the most positive entries in any row of M."""
+    return (int(np.count_nonzero(M > 0, axis=1).max()) + 1) * EPS
+
+
 def test_tol_floors():
-    # below the floors no stopping test can pass; at them, runs go ahead
+    # below (k + 1) eps no stopping test can pass; at it, runs go ahead
+    M = np.array([[1.0, 1.0], [1.0, 0.0]])
+    assert _floor(M) == 3 * EPS
     with pytest.raises(ValueError, match="tol must be >="):
-        sp.perron(np.eye(2), tol=sp.PERRON_MIN_TOL / 2)
-    assert sp.perron(3.0 * np.eye(2), tol=sp.PERRON_MIN_TOL).value == 3.0
-    for tol in (1e-20, 3e-15):
+        sp.perron(M, tol=2 * EPS)
+    golden = (1 + math.sqrt(5)) / 2
+    assert sp.perron(M, tol=3 * EPS).value == pytest.approx(golden, rel=3 * EPS)
+    # psi(A(2, 3)): its top rows hold ell = 3 positive entries each
+    psi = sp.companion_psi(sp.build_A(2, 3))
+    with pytest.raises(ValueError, match="tol must be >="):
+        sp.perron(psi, tol=3.9 * EPS)
+    assert sp.perron(psi, tol=4 * EPS).iterations > 1
+    # D_lambda A(2, 40) has 40 positive entries a row: 41 eps = 9.1e-15
+    for tol in (1e-20, 3e-15, 9e-15):
         with pytest.raises(ValueError, match="tol must be >="):
             sp.dlambda_report(2, 40, tol=tol)
-    # the inner solves run at tol * 1e-3, which must clear perron's floor
-    rep = sp.dlambda_report(2, 1, tol=sp.DLAMBDA_MIN_TOL)
-    assert rep["lambda"] == pytest.approx(math.exp(-1), rel=1e-14)
+    rep = sp.dlambda_report(2, 1, tol=2 * EPS)
+    assert rep["lambda"] == pytest.approx(math.exp(-1), rel=2 * EPS)
+
+
+@st.composite
+def _primitive_square(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.integers(0, 4))
+    M = 10.0 ** rng.uniform(-decades, decades, (n, n))
+    M[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    assume(sp.is_primitive(M))
+    return M
+
+
+def _perron_root(M: np.ndarray) -> float:
+    """The largest real eigenvalue by mpmath's QR at 30 digits.  LAPACK's
+    (np.linalg.eigvals) is a poorer oracle here: on draws like these it
+    was up to 2.3 floors (k + 1) eps off, where perron was within 0.61."""
+    if M.shape[0] == 1:
+        return float(M[0, 0])
+    with mpmath.workdps(30):
+        ev = mpmath.eig(mpmath.matrix(M.tolist()), left=False, right=False)
+        return float(max(e.real for e in ev if abs(e.imag) <= 1e-20 * abs(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_primitive_square())
+def test_perron_matches_oracle_down_to_the_floor(M):
+    # at each tol perron's value is within tol * value of the root, or it
+    # raises ConvergenceError: a subdominant eigenvalue near rho stalls the
+    # bounds (or, within 20,000 steps, slows them) short of a fine tol; with
+    # |lambda_2| <= 0.99 rho every tol down to 1e-10 converges
+    want = _perron_root(M)
+    mods = np.sort(np.abs(np.linalg.eigvals(M)))
+    gapped = M.shape[0] == 1 or mods[-2] <= 0.99 * mods[-1]
+    floor = _floor(M)
+    with mock.patch.object(sp, "PERRON_MAX_ITER", 20_000):
+        for tol in [10.0**-e for e in range(6, 16) if 10.0**-e > floor] + [floor]:
+            try:
+                res = sp.perron(M, tol=tol)
+            except sp.ConvergenceError:
+                assert not (gapped and tol >= 1e-10), tol
+                continue
+            assert abs(res.value - want) <= tol * res.value, tol
+            assert np.all(res.vector > 0)
+
+
+def test_perron_stall_raises_before_the_budget(monkeypatch):
+    # |lambda_2 / rho| = 0.974: at 3 eps rounding holds the iterate in a
+    # 2-cycle whose bounds stay 27 eps apart, and the solve ran out its
+    # whole budget; it stops once they have not narrowed for a while
+    M = np.array([[0.0, 5.88553448], [3.39951571, 0.11598376]])
+    monkeypatch.setattr(sp, "PERRON_MAX_ITER", 20_000)
+    with pytest.raises(sp.ConvergenceError, match="stopped narrowing"):
+        sp.perron(M, tol=3 * EPS)
+    res = sp.perron(M, tol=1e-12)
+    assert res.value == pytest.approx(_perron_root(M), rel=1e-12)
+
+
+# lambda(2, 40) to 17 digits: the root of det(I - D_lambda A(2, 40)) next to
+# 0.9974816796, by mpmath.findroot on A's exact entries at 40 digits
+LAMBDA_2_40 = 0.99748167963375610
+
+
+def test_perron_is_relatively_accurate_on_psi():
+    # the absolute Rayleigh stop returned 0.997481679633311, 4.5e-13 off
+    res = sp.perron(sp.companion_psi(sp.build_A(2, 40)))
+    assert abs(res.value - LAMBDA_2_40) <= 1e-13 * LAMBDA_2_40
 
 
 def test_perron_scalar_companion():
@@ -286,6 +370,56 @@ def test_lambda_growth_rate_bound():
 def test_lambda_2_40_band():
     lam = sp.lambda_via_dlambda(2, 40, tol=1e-11)
     assert 0.9 <= lam <= 1.0
+
+
+def _certified_gap(r: int, ell: int, lam: float) -> float:
+    """An upper bound on |rho(D_lambda A) - 1|: rho lies between the
+    Collatz-Wielandt bounds min(Sv/v) and max(Sv/v) at any positive v, here
+    with S = D_lambda A built from log entries and scaled by exp(-shift)."""
+    i = np.arange(1, ell + 1)[:, None]
+    log_S = sp.build_A_log(r, ell) - i * math.log(lam)
+    shift = log_S.max()
+    S = np.exp(log_S - shift)
+    v = sp.dlambda_eigenvector(r, ell, lam, tol=(ell + 1) * EPS)
+    ratios = (S @ v) / v * math.exp(shift)
+    return max(ratios.max() - 1.0, 1.0 - ratios.min())
+
+
+def _solved_or_refused(solve):
+    """solve()'s result, or None if it raised ConvergenceError other than
+    for a spent iteration budget."""
+    try:
+        return solve()
+    except sp.ConvergenceError as exc:
+        assert "no convergence within" not in str(exc)
+        return None
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("ell", [2, 3, 5, 10, 20, 30, 40, 64])
+def test_both_methods_meet_or_refuse_every_tol(r, ell, monkeypatch):
+    # at the default tol, at 1e-12 and at the floor (ell + 1) eps, psi and
+    # dlambda each converge or raise a typed error, all well inside the
+    # 500,000-iteration budget; dlambda's lambda is certified to its tol
+    psi = sp.companion_psi(sp.build_A(r, ell))
+    floor = (ell + 1) * EPS
+    monkeypatch.setattr(sp, "PERRON_MAX_ITER", 20_000)
+    for tol in (None, 1e-12, floor):
+        kw = {} if tol is None else {"tol": tol}
+        _solved_or_refused(lambda: sp.perron(psi, **kw))
+        rep = _solved_or_refused(lambda: sp.dlambda_report(r, ell, **kw))
+        if rep is not None:
+            # the test's own ratios carry up to (ell + 1) eps of rounding
+            gap = _certified_gap(r, ell, rep["lambda"])
+            assert gap <= kw.get("tol", 1e-10) + floor
+    # below the floor: with no iterations allowed at all, only a check made
+    # before the first power iteration can raise ValueError
+    monkeypatch.setattr(sp, "PERRON_MAX_ITER", 0)
+    below = floor * (1 - 1e-9)
+    with pytest.raises(ValueError, match="tol must be >="):
+        sp.perron(psi, tol=below)
+    with pytest.raises(ValueError, match="tol must be >="):
+        sp.dlambda_report(r, ell, tol=below)
 
 
 def test_dlambda_report_shape():
